@@ -39,18 +39,17 @@ gated by ``--check`` (floors committed in ``BENCH_engine.json``).  Flat
 and reference are bit-identical in output
 (``tests/test_flat_cache_equivalence.py``).
 
-The **batched** section tracks the numpy record-batch engine
-(:func:`repro.sim.engine.run_simulation_batched`) on its target regime —
-an L1-resident workload (``gen_hot_l1``) whose long hit runs the
-vectorized pre-pass retires wholesale — racing batched vs flat vs seed
-rungs on the no-prefetcher baseline, plus batched vs flat under Prophet,
-all interleaved.  ``speedup_batched_vs_flat_baseline`` is the headline
-gated ratio; a ``spec_workload`` sub-section reports the same
-batched-vs-flat ratio on the pointer-chasing ``mcf_inp`` persona
-(scattered misses, runs below the retirement threshold) where the
-batched rung is expected to track the flat rung, not beat it — reported
-for trajectory, never gated.  All rungs are bit-identical in output
-(``tests/test_batched_engine_equivalence.py``).
+The **native** section races the native C kernel
+(:mod:`repro.sim.native`, what :func:`repro.sim.engine.simulate` runs
+when it is built) against the flat ``run_simulation`` loop on the seven
+Fig. 10 personas, under both the no-prefetcher baseline and Prophet, with
+every (persona, scheme, rung) repeat interleaved.  The aggregate
+``speedup_native_vs_flat_baseline`` / ``_prophet`` ratios (total records
+over summed best-of seconds) are gated by ``--check``; per-persona ratios
+are reported alongside.  Native and flat are bit-identical in output
+(``tests/test_native_engine_equivalence.py``, ``tests/test_golden_corpus.py``).
+Without a C toolchain the section records ``"available": false`` and
+``--check`` fails on its missing ratios.
 
 Results are written to ``BENCH_engine.json`` next to this file (override
 with ``--out``) so successive PRs accumulate a perf trajectory; compare
@@ -93,12 +92,10 @@ from pathlib import Path
 
 from repro.cache.reference import HierarchyReference
 from repro.core.pipeline import OptimizedBinary
+from repro.experiments.common import spec_labels
+from repro.sim import native
 from repro.sim.config import default_config
-from repro.sim.engine import (
-    run_simulation,
-    run_simulation_batched,
-    run_simulation_reference,
-)
+from repro.sim.engine import run_simulation, run_simulation_reference, simulate
 from repro.workloads.inputs import make_trace
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_engine.json"
@@ -106,11 +103,6 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_engine.json"
 #: Workload used for all measurements: mcf-like pointer chasing exercises
 #: the full miss path (L1/L2/L3/DRAM) rather than degenerating to L1 hits.
 BENCH_WORKLOAD = "mcf_inp"
-
-#: Workload for the batched-engine section: an L1-resident, conflict-free
-#: pointer chase whose measure phase is nearly all L1 hits — the run
-#: structure the vectorized pre-pass exists to exploit.
-BATCHED_WORKLOAD = "gen_hot_l1"
 
 #: Sections of the output file that are maintained by hand (calibration
 #: notes, seed-commit measurements, regression floors) and must survive
@@ -165,8 +157,7 @@ def _measure_interleaved(named_fns, n_records: int, repeats: int) -> dict:
     return out
 
 
-def run_bench(n_records: int, repeats: int,
-              batch_size: int | None = None) -> dict:
+def run_bench(n_records: int, repeats: int) -> dict:
     config = default_config()
     trace = make_trace(BENCH_WORKLOAD, n_records)
 
@@ -257,85 +248,49 @@ def run_bench(n_records: int, repeats: int,
     )
     result["fill_path"] = fill
 
-    hot_trace = make_trace(BATCHED_WORKLOAD, n_records)
-    hot_binary = OptimizedBinary.from_profile(hot_trace, config)
-
-    def hot_batched() -> None:
-        run_simulation_batched(
-            hot_trace, config, None, "baseline", batch_size=batch_size
-        )
-
-    def hot_flat() -> None:
-        run_simulation(hot_trace, config, None, "baseline")
-
-    def hot_reference() -> None:
-        run_simulation_reference(hot_trace, config, None, "baseline")
-
-    def hot_prophet_batched() -> None:
-        run_simulation_batched(
-            hot_trace, config, hot_binary.prefetcher(config), "prophet",
-            batch_size=batch_size,
-        )
-
-    def hot_prophet_flat() -> None:
-        run_simulation(
-            hot_trace, config, hot_binary.prefetcher(config), "prophet"
-        )
-
-    batched = _measure_interleaved(
-        [
-            ("baseline_batched", hot_batched),
-            ("baseline_flat", hot_flat),
-            ("baseline_reference", hot_reference),
-            ("prophet_batched", hot_prophet_batched),
-            ("prophet_flat", hot_prophet_flat),
-        ],
-        n_records,
-        repeats,
-    )
-    batched["workload"] = BATCHED_WORKLOAD
-    batched["batch_size"] = batch_size
-    batched["note"] = (
-        "Numpy record-batch engine vs the flat scalar loop vs the seed "
-        "loop on an L1-resident trace (long retirable hit runs), plus "
-        "batched vs flat under Prophet; repeats interleaved across all "
-        "rungs.  All rungs are bit-identical in output; batch_size is a "
-        "throughput knob only (null = engine default)."
-    )
-    batched["speedup_batched_vs_flat_baseline"] = round(
-        batched["baseline_batched"]["records_per_sec"]
-        / batched["baseline_flat"]["records_per_sec"], 3
-    )
-    batched["speedup_batched_vs_reference_baseline"] = round(
-        batched["baseline_batched"]["records_per_sec"]
-        / batched["baseline_reference"]["records_per_sec"], 3
-    )
-    batched["speedup_batched_vs_flat_prophet"] = round(
-        batched["prophet_batched"]["records_per_sec"]
-        / batched["prophet_flat"]["records_per_sec"], 3
-    )
-
-    def spec_batched() -> None:
-        run_simulation_batched(
-            trace, config, None, "baseline", batch_size=batch_size
-        )
-
-    spec = _measure_interleaved(
-        [("batched", spec_batched), ("flat", baseline)], n_records, repeats
-    )
-    spec["workload"] = BENCH_WORKLOAD
-    spec["ratio_batched_vs_flat"] = round(
-        spec["batched"]["records_per_sec"] / spec["flat"]["records_per_sec"],
-        3,
-    )
-    spec["note"] = (
-        "Informational only, never gated: a scattered-miss persona whose "
-        "hit runs sit below the retirement threshold, so the batched "
-        "rung is expected to track the flat rung (~1.0), not beat it."
-    )
-    batched["spec_workload"] = spec
-    result["batched"] = batched
+    result["native"] = native_section(config, n_records, repeats)
     return result
+
+
+def native_section(config, n_records: int, repeats: int) -> dict:
+    """Native kernel vs flat loop on the seven Fig. 10 personas."""
+    if native.load() is None:
+        return {"available": False,
+                "note": "native kernel unavailable (no C toolchain)"}
+    runs = []
+    for label in spec_labels():
+        trace = make_trace(label, n_records)
+        binary = OptimizedBinary.from_profile(trace, config)
+        for scheme, make_pf in (("baseline", lambda: None),
+                                ("prophet", lambda b=binary: b.prefetcher(config))):
+            for rung, sim in (("native", simulate), ("flat", run_simulation)):
+                runs.append((f"{label}/{scheme}/{rung}",
+                             lambda t=trace, s=scheme, m=make_pf, f=sim:
+                             f(t, config, m(), s)))
+    timed = _measure_interleaved(runs, n_records, repeats)
+    section = {"available": True, "workloads": spec_labels(), "per_workload": {}}
+    for scheme in ("baseline", "prophet"):
+        total = {}
+        for rung in ("native", "flat"):
+            best = [timed[f"{label}/{scheme}/{rung}"]["seconds_best"]
+                    for label in spec_labels()]
+            total[rung] = sum(best)
+            section[f"{scheme}_{rung}_records_per_sec"] = (
+                n_records * len(best) / total[rung])
+        section[f"speedup_native_vs_flat_{scheme}"] = round(
+            total["flat"] / total["native"], 3)
+        for label in spec_labels():
+            section["per_workload"][f"{label}/{scheme}"] = round(
+                timed[f"{label}/{scheme}/flat"]["seconds_best"]
+                / timed[f"{label}/{scheme}/native"]["seconds_best"], 3)
+    section["note"] = (
+        "Native C kernel vs the flat scalar loop, seven Fig. 10 personas, "
+        "baseline and Prophet; every (persona, scheme, rung) repeat "
+        "interleaved.  Aggregate speedups are total flat over total native "
+        "best-of seconds; per_workload holds the per-persona ratios.  Both "
+        "rungs are bit-identical in output."
+    )
+    return section
 
 
 def _ratio_metrics(result: dict) -> dict:
@@ -358,14 +313,12 @@ def _ratio_metrics(result: dict) -> dict:
         metrics["fill_path_flat_vs_reference_prophet"] = (
             fill["speedup_flat_vs_reference_prophet"]
         )
-    batched = result.get("batched")
-    if batched is not None:
-        metrics["batched_vs_flat_baseline"] = (
-            batched["speedup_batched_vs_flat_baseline"]
-        )
-        metrics["batched_vs_flat_prophet"] = (
-            batched["speedup_batched_vs_flat_prophet"]
-        )
+    section = result.get("native") or {}
+    if section.get("available"):
+        for scheme in ("baseline", "prophet"):
+            metrics[f"native_vs_flat_{scheme}"] = (
+                section[f"speedup_native_vs_flat_{scheme}"]
+            )
     return metrics
 
 
@@ -400,6 +353,7 @@ def check_floors(result: dict, committed: dict, tolerance: float) -> list:
             continue  # the "note" field
         value = current.get(name)
         if value is None:
+            failures.append(f"{name}: gated ratio was not measured")
             continue
         minimum = floor * (1.0 - tolerance)
         if value < minimum:
@@ -431,11 +385,6 @@ def main(argv=None) -> int:
                         default=REGRESSION_TOLERANCE,
                         help="allowed fractional regression for --check "
                              f"(default {REGRESSION_TOLERANCE})")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="records per classification batch for the "
-                             "batched engine rungs (default: engine "
-                             "default); results are bit-identical for "
-                             "any value — this is a throughput knob only")
     args = parser.parse_args(argv)
 
     # Read the committed floors *before* any writing, in case --out and
@@ -449,7 +398,7 @@ def main(argv=None) -> int:
 
     n_records = 5_000 if args.smoke else args.records
     repeats = 1 if args.smoke else args.repeats
-    result = run_bench(n_records, repeats, batch_size=args.batch_size)
+    result = run_bench(n_records, repeats)
     result["smoke"] = args.smoke
 
     # Carry hand-maintained calibration sections across reruns.
@@ -482,18 +431,17 @@ def main(argv=None) -> int:
     print("fill_path speedups (flat vs reference hierarchy): "
           f"{fill['speedup_flat_vs_reference_baseline']:.3f}x baseline, "
           f"{fill['speedup_flat_vs_reference_prophet']:.3f}x prophet")
-    batched = result["batched"]
-    for kind in ("baseline_batched", "baseline_flat", "baseline_reference",
-                 "prophet_batched", "prophet_flat"):
-        print(f"batched.{kind:19s} "
-              f"{batched[kind]['records_per_sec']:>12,.0f} records/sec")
-    print(f"batched speedups ({BATCHED_WORKLOAD}): "
-          f"{batched['speedup_batched_vs_flat_baseline']:.3f}x vs flat "
-          f"baseline, "
-          f"{batched['speedup_batched_vs_flat_prophet']:.3f}x vs flat "
-          f"prophet; "
-          f"{BENCH_WORKLOAD} informational "
-          f"{batched['spec_workload']['ratio_batched_vs_flat']:.3f}x")
+    section = result["native"]
+    if section["available"]:
+        for scheme in ("baseline", "prophet"):
+            print(f"native.{scheme:8s} "
+                  f"{section[f'{scheme}_native_records_per_sec']:>12,.0f} vs "
+                  f"{section[f'{scheme}_flat_records_per_sec']:>10,.0f} "
+                  f"records/sec flat: "
+                  f"{section[f'speedup_native_vs_flat_{scheme}']:.3f}x "
+                  "(seven Fig. 10 personas)")
+    else:
+        print(f"native: {section['note']}")
     print(f"wrote {args.out}")
 
     if args.check:

@@ -34,10 +34,10 @@ Quickstart::
     prophet = simulate(trace, config, binary.prefetcher(config), "prophet")
     print(prophet.speedup_over(baseline))
 
-``simulate`` picks the fastest bit-identical engine rung — the
-numpy-batched core when acceleration is available (``REPRO_NUMPY``
-unset/on), else the scalar loop; ``run_simulation`` always runs the
-scalar loop.
+``simulate`` picks the fastest bit-identical engine rung — the native
+C kernel when it could be built (it compiles on first use; without a C
+compiler or Python headers it falls back silently), else the scalar
+loop; ``run_simulation`` always runs the scalar loop.
 """
 
 from .cache.reference import CacheReference, HierarchyReference, TLBReference
@@ -58,7 +58,7 @@ from .prefetchers.rpg2 import RPG2Prefetcher
 from .prefetchers.triage import TriagePrefetcher
 from .prefetchers.triangel import TriangelPrefetcher, TriangelPrefetcherReference
 from .sim.config import SystemConfig, default_config
-from .sim.engine import run_simulation, run_simulation_batched, simulate
+from .sim.engine import run_simulation, simulate
 from .sim.results import SimResult, geomean
 from .workloads.base import Trace
 from .workloads.crono import make_crono_trace
@@ -111,7 +111,6 @@ __all__ = [
     "register_generator_scenario",
     "run_prophet",
     "run_simulation",
-    "run_simulation_batched",
     "set_trace_dir",
     "simulate",
     "spec_suite",

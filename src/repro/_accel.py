@@ -6,13 +6,14 @@ Two things live here:
   version check per process, logging a single clear line when numpy is
   missing or too old, so every accelerated call site asks a cached
   question instead of wrapping its own ``ImportError`` handling;
-- the **selection flag** (:func:`numpy_enabled`): which paths actually
-  *use* numpy.  The ``REPRO_NUMPY`` environment variable is tri-state:
+- the **selection flag** (:func:`numpy_enabled`): which bulk paths
+  actually *use* numpy (it never picks an engine rung).  The
+  ``REPRO_NUMPY`` environment variable is tri-state:
 
   - unset  -> **auto**: acceleration is on whenever the capability probe
-    passes (the batched engine rung self-selects);
+    passes;
   - ``0`` / ``false`` / ``no`` / ``off`` -> off, even with numpy present
-    (forces the pure-Python engines and bulk paths);
+    (forces the pure-Python bulk paths);
   - any other value -> on; if numpy is missing the probe's log line
     explains the silent fall-back to the scalar paths.
 
@@ -114,29 +115,3 @@ def numpy_enabled() -> bool:
 def get_numpy():
     """The numpy module when acceleration is active, else None."""
     return numpy_capability().module if numpy_enabled() else None
-
-
-def scan_tag_range(tags, n_sets: int, assoc: int, way_lo: int, way_hi: int):
-    """Batch tag-match scan over a flat cache tag vector.
-
-    ``tags`` is the cache's ``array('q')`` tag vector (``-1`` == invalid
-    slot).  Returns the flat slot indices (``set * assoc + way``) of every
-    *resident* slot whose way falls in ``[way_lo, way_hi)``, in set-major
-    order — exactly the order the scalar loop visits them — or ``None``
-    when acceleration is off so the caller runs its scalar fallback.
-
-    This is the bulk half of a way repartition
-    (:meth:`repro.cache.cache.Cache.set_data_ways`): finding the lines
-    living in the newly reserved ways is one vectorized compare over the
-    tag matrix instead of a Python loop over every (set, way) slot.  The
-    per-line cleanup (map deletes, writeback counting) stays scalar, so
-    results are identical either way.
-    """
-    np = get_numpy()
-    if np is None or way_hi <= way_lo:
-        return None
-    matrix = np.frombuffer(tags, dtype=np.int64).reshape(n_sets, assoc)
-    region = matrix[:, way_lo:way_hi]
-    sets, offsets = np.nonzero(region != -1)
-    base = sets * assoc + way_lo
-    return (base + offsets).tolist()

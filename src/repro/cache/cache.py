@@ -45,7 +45,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .._accel import scan_tag_range
 from .replacement import SRRIPPolicy, TreePLRUPolicy, make_policy
 
 
@@ -207,9 +206,7 @@ class Cache:
 
         Lines living in newly reserved ways are invalidated (their dirty
         data is counted as writeback traffic), matching a hardware
-        repartition of the shared LLC.  The resident-slot scan over the
-        reserved region is a batch tag-match against the flat tag vector;
-        with :mod:`repro._accel` enabled it runs vectorized.
+        repartition of the shared LLC.
         """
         if not 0 <= ways <= self.assoc:
             raise ValueError(f"ways must be in [0, {self.assoc}]")
@@ -221,15 +218,16 @@ class Cache:
             where = self._where
             counts = self._counts
             stats = self.stats
-            resident = scan_tag_range(tags, self.n_sets, assoc,
-                                      ways, old_ways)
-            if resident is None:
-                resident = [
-                    base + way
-                    for base in range(0, self.n_sets * assoc, assoc)
-                    for way in range(ways, old_ways)
-                    if tags[base + way] != -1
-                ]
+            # Way by way, skipping empty way columns at C speed (the common
+            # case: a resize at setup, or on an LLC the native kernel owns);
+            # the cleanup below is order-independent.
+            resident = [
+                base + way
+                for way in range(ways, old_ways)
+                if tags[way::assoc].count(-1) != self.n_sets
+                for base in range(0, self.n_sets * assoc, assoc)
+                if tags[base + way] != -1
+            ]
             for idx in resident:
                 if flags[idx] & F_DIRTY:
                     stats.writebacks += 1

@@ -198,19 +198,6 @@ class Hierarchy:
         """
         return AccessResult(*self._demand_kernel(pc, line, cycle, is_write))
 
-    def demand_access_fast(
-        self, pc: int, line: int, cycle: float, is_write: bool = False
-    ):
-        """:meth:`demand_access` returning a plain tuple.
-
-        The tuple fields are ``(latency, hit_level, consumed_prefetch_pc,
-        late_prefetch)``.  The engine's inner loop binds
-        :attr:`_demand_kernel` directly (re-fetching it after resize
-        polls); this wrapper always reads the current kernel, so it is
-        safe to hold across resizes.
-        """
-        return self._demand_kernel(pc, line, cycle, is_write)
-
     # ------------------------------------------------------------------
     # the fused demand/fill-spill kernel
     # ------------------------------------------------------------------
@@ -870,21 +857,3 @@ class Hierarchy:
                 continue
             issued += issue_lines((req.line,), req.trigger_pc, cycle)
         return issued
-
-    def issue_l2_prefetch_lines(
-        self, lines: List[int], trigger_pc: int, cycle: float
-    ) -> int:
-        """Issue requests arriving as plain line numbers (fused dispatch).
-
-        Identical issue semantics to :meth:`issue_l2_prefetches`; every
-        request a temporal prefetcher emits is attributed to the access
-        that triggered the walk, so no :class:`PrefetchRequest` is
-        allocated unless a request has to wait in the MSHR-full queue.
-        """
-        return self._issue_lines(lines, trigger_pc, cycle)
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def dram_traffic(self) -> int:
-        return self.dram.stats.total_traffic

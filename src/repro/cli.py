@@ -14,7 +14,7 @@ Usage::
     python -m repro.cli workloads import capture.trc [--name LABEL]
     python -m repro.cli pool probe hosts.txt
     python -m repro.cli cas gc [--cache-dir DIR] [--max-age-days N]
-    python -m repro.cli bench [--records N] [--batch-size N]
+    python -m repro.cli bench [--records N]
     python -m repro.cli serve [--port N] [--host H] [--workers N] \
         [--jobs N] [--cache-dir DIR] [--pool SPEC]
 
@@ -30,10 +30,8 @@ shared Runner behind it.  See ``docs/serve.md``.
 (``benchmarks/bench_engine_throughput.py``) in ``--smoke`` mode — a quick
 records/sec sanity check of the simulation hot path without having to
 know the benchmarks tree.  Pass ``--records N`` for a longer measured
-run and ``--batch-size N`` to sweep the batched engine's classification
-batch size (a throughput knob; results are bit-identical for any value
-and it never enters result cache keys).  The result JSON goes to a
-scratch file, never to the committed ``BENCH_engine.json``.
+run.  The result JSON goes to a scratch file, never to the committed
+``BENCH_engine.json``.
 
 The workload catalog is the source registry
 (:mod:`repro.workloads.sources`): built-in synthetic personas, generator
@@ -253,8 +251,6 @@ def run_bench_command(args) -> int:
         cmd += ["--records", str(args.records), "--repeats", "2"]
     else:
         cmd.append("--smoke")
-    if getattr(args, "batch_size", None) is not None:
-        cmd += ["--batch-size", str(args.batch_size)]
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[1])  # the src/ dir
     existing = env.get("PYTHONPATH")
@@ -684,11 +680,6 @@ def main(argv=None) -> int:
                         help="admission bound for 'serve': queued jobs "
                              "past this get 429 + Retry-After "
                              "(default 64)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="records per classification batch for the "
-                             "batched engine rungs of 'bench' (throughput "
-                             "knob only; results are bit-identical and "
-                             "cache keys never include it)")
     args = parser.parse_args(argv)
 
     if args.trace_dir is not None:

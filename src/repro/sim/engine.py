@@ -39,23 +39,30 @@ preserved :class:`repro.cache.reference.HierarchyReference` through the
 seed-era loop, so the equivalence suites pin the flat-array cache stack
 to the slot-record oracle end to end; both accept ``hierarchy_cls`` so
 the bench can race either hierarchy under either loop.
+
+Engine rungs: :func:`simulate` runs the whole record loop in the native
+C kernel (:mod:`repro.sim.native`) when it is loaded and the default
+hierarchy is asked for, else :func:`run_simulation`.  The flat loop is
+both the fallback and the native rung's oracle: the two produce
+identical ``SimResult``s.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from itertools import islice
 from typing import Dict, Optional
 
-from .. import _accel
 from .. import faults as _faults
 from ..cache.hierarchy import Hierarchy
 from ..cache.reference import HierarchyReference
-from ..prefetchers.base import L1Prefetcher, L2Prefetcher, NullL1Prefetcher
+from ..memory.tlb import LINES_PER_PAGE
+from ..prefetchers.base import L1Prefetcher, L2AccessInfo, L2Prefetcher, NullL1Prefetcher
 from ..prefetchers.ipcp import IPCPPrefetcher
 from ..prefetchers.stride import StridePrefetcher
-from ..workloads.base import Trace
-from .batch import DEFAULT_BATCH_SIZE, RECLASSIFY_STREAK, RUN_MIN, BatchDriver
+from ..workloads.base import TRACE_DTYPE, Trace
+from . import native
 from .config import SystemConfig
 from .cpu import TimingModel
 from .results import SimResult
@@ -239,216 +246,76 @@ def run_simulation(
     )
 
 
-def run_simulation_batched(
+def _trace_columns(trace: Trace):
+    """The pc/line/gap columns as int64 buffers the native kernel reads."""
+    rec = trace.records_array
+    if rec is not None and rec.dtype == TRACE_DTYPE and rec.dtype.isnative:
+        return [rec[name] for name in ("pc", "line", "gap")]
+    return [array("q", col) for col in (trace.pcs, trace.lines, trace.gaps)]
+
+
+def _run_native(
+    kernel,
     trace: Trace,
     config: SystemConfig,
-    l2_prefetcher: Optional[L2Prefetcher] = None,
-    scheme: str = "baseline",
-    warmup_frac: float = 0.25,
-    resize_window: int = 8192,
-    hierarchy_cls: Optional[type] = None,
-    batch_size: Optional[int] = None,
+    l2_prefetcher: Optional[L2Prefetcher],
+    scheme: str,
+    warmup_frac: float,
+    resize_window: int,
 ) -> SimResult:
-    """The third engine rung: vectorized pre-pass over record batches.
+    """:func:`run_simulation` on the native kernel (:mod:`repro.sim.native`).
 
-    Classifies each batch with :class:`repro.sim.batch.BatchDriver` and
-    retires verified L1-hit runs wholesale; every other record — and
-    every record when numpy (or an array-backed trace, or the flat
-    hierarchy) is unavailable — flows through the same fused scalar
-    kernel as :func:`run_simulation`, in identical stream order.
-    Bit-identical to both other rungs on whole ``SimResult``s;
-    ``batch_size`` is a throughput knob with no semantic effect and must
-    never enter result cache keys.
+    The :class:`Hierarchy` still validates the config, wires the
+    prefetchers and supplies the geometry; the kernel owns the cache state,
+    calls ``resize`` after each applied poll (which re-fetches the
+    prefetcher callables) and returns the counters ``_collect`` reads.
     """
-    np = _accel.get_numpy()
-    if (
-        np is None
-        or trace.records_array is None
-        or hierarchy_cls not in (None, Hierarchy)
-    ):
-        return run_simulation(
-            trace, config, l2_prefetcher, scheme, warmup_frac,
-            resize_window, hierarchy_cls,
-        )
-    hierarchy = _setup(trace, config, l2_prefetcher, warmup_frac, Hierarchy)
+    hierarchy = _setup(trace, config, l2_prefetcher, warmup_frac)
     pf = hierarchy.l2_prefetcher
+    l1pf = hierarchy.l1_prefetcher
+    l1, l2, l3, tlb = hierarchy.l1d, hierarchy.l2, hierarchy.l3, hierarchy.tlb
+    stride = type(l1pf) is StridePrefetcher
     timing = TimingModel.for_config(config, trace.mlp)
     n = len(trace)
     warmup_records = int(n * warmup_frac)
 
-    issue_width = timing.issue_width
-    hide = timing.hide_cycles
-    mlp = timing.mlp
-    demand_access = _demand_fn(hierarchy)
-    desired_metadata_ways = pf.desired_metadata_ways
-    max_meta_ways = config.l3.assoc // 2
+    def callables():
+        return (hierarchy._l2_observe_fast, pf.observe, pf.note_useful,
+                pf.note_issued, l1pf.observe)
 
-    driver = BatchDriver(
-        np, hierarchy, trace, timing, batch_size or DEFAULT_BATCH_SIZE
+    def resize(ways: int):
+        hierarchy.set_metadata_ways(ways)
+        return callables()
+
+    (cycles, gap_total, misses, miss_by_pc, reads, writes, md_reads, md_writes,
+     issued, useful, issued_by_pc, useful_by_pc, l1_issued, l1_useful) = kernel.run(
+        *_trace_columns(trace), warmup_records, resize_window,
+        (l1.n_sets, l1.assoc, l2.n_sets, l2.assoc, l3.n_sets, l3.assoc,
+         l3.data_ways, hierarchy.metadata_ways, config.l3.assoc // 2,
+         hierarchy._l1_lat_i, hierarchy._l2_lat, hierarchy._l3_lat,
+         hierarchy.dram.service_cycles, hierarchy.dram.config.access_latency,
+         hierarchy.l2_mshr.capacity, hierarchy._pf_queue.maxlen,
+         *((tlb.config.entries, tlb.config.walk_latency) if tlb is not None
+           else (0, 0)),
+         LINES_PER_PAGE, hierarchy._cross_page_ok,
+         l1pf.degree if stride else 0, l1pf.table_size if stride else 0),
+        (timing.issue_width, timing.hide_cycles, timing.mlp),
+        (hierarchy._null_l1_pf, hierarchy._null_l2_pf, hierarchy._offchip_metadata),
+        callables(), pf.desired_metadata_ways, resize, pf.drain_metadata_traffic,
+        L2AccessInfo,
     )
-    pf_queue = hierarchy._pf_queue
-    batch = driver.batch_size
-
-    cycle = 0.0
-    resize_left = resize_window
-    measured_cycles = 0.0
-    gap_total = 0
-    measured_misses = 0
-    miss_by_pc: Dict[int, int] = defaultdict(int)
-
-    def run_phase(lo: int, hi: int, measuring: bool) -> None:
-        nonlocal cycle, resize_left, demand_access
-        nonlocal measured_cycles, gap_total, measured_misses
-        pos = lo
-        # A sustained streak of scalar L1 *hits* means the snapshot the
-        # classifier read is stale (it predicted misses — e.g. the cold
-        # first batch snapshots an empty L1).  Re-classify the remainder,
-        # rate-limited to once per batch-size records.
-        next_reclass = lo
-        streak = 0
-        # Retry throttle for runs blocked by a pending prefetch queue:
-        # the MSHR-occupancy probe is O(capacity), so after a failed
-        # probe fast attempts pause for RUN_MIN records.
-        pf_retry_at = 0
-        while pos < hi:
-            end = min(pos + batch, hi)
-            b = driver.classify(pos, end)
-            fast = b.fast
-            run_end = b.run_end
-            pcs_l = lines_l = gaps_l = None
-            q = pos
-            reclass = False
-            while q < end:
-                # Records until the next resize poll: runs never cross a
-                # poll boundary (invariant 10), so kernel rebinds only
-                # ever land between retirements.
-                seg_end = min(end, q + resize_left)
-                if not b.has_runs:
-                    # No retireable run anywhere in the batch: drive the
-                    # whole poll segment through the plain scalar loop
-                    # with no per-record classification checks.
-                    if pcs_l is None:
-                        driver.materialize_lists(b)
-                        pcs_l, lines_l, gaps_l = b.pcs, b.lines, b.gaps
-                    rel = q - pos
-                    rel_end = seg_end - pos
-                    q0 = q
-                    for pc, ln, gap in zip(
-                        pcs_l[rel:rel_end],
-                        lines_l[rel:rel_end],
-                        gaps_l[rel:rel_end],
-                    ):
-                        step = (gap + 1) / issue_width
-                        latency, hit_level, _, _ = demand_access(pc, ln, cycle)
-                        if latency > hide:
-                            step += (latency - hide) / mlp
-                        cycle += step
-                        if measuring:
-                            measured_cycles += step
-                            gap_total += gap
-                            if hit_level == "l3" or hit_level == "dram":
-                                measured_misses += 1
-                                miss_by_pc[pc] += 1
-                        q += 1
-                        if hit_level == "l1":
-                            streak += 1
-                            if (
-                                streak >= RECLASSIFY_STREAK
-                                and q >= next_reclass
-                                and end - q >= RUN_MIN * 2
-                            ):
-                                next_reclass = q + batch
-                                streak = 0
-                                reclass = True
-                                break
-                        else:
-                            streak = 0
-                    resize_left -= q - q0
-                    if reclass:
-                        break
-                else:
-                    while q < seg_end:
-                        rel = q - pos
-                        if fast[rel]:
-                            r = min(pos + int(run_end[rel]), seg_end)
-                            if r - q >= RUN_MIN:
-                                if not pf_queue or (
-                                    q >= pf_retry_at
-                                    and driver.queue_blocked_through(
-                                        q, r, cycle
-                                    )
-                                ):
-                                    retired, cycle, measured_cycles, gsum = (
-                                        driver.retire(
-                                            b, q, r, cycle, measured_cycles,
-                                            measuring,
-                                        )
-                                    )
-                                    if retired:
-                                        if measuring:
-                                            gap_total += gsum
-                                        resize_left -= retired
-                                        q += retired
-                                        streak = 0
-                                        continue
-                                elif q >= pf_retry_at:
-                                    pf_retry_at = q + RUN_MIN
-                        # Scalar residue: identical to run_simulation's
-                        # loop.
-                        if pcs_l is None:
-                            driver.materialize_lists(b)
-                            pcs_l, lines_l, gaps_l = b.pcs, b.lines, b.gaps
-                        pc = pcs_l[rel]
-                        gap = gaps_l[rel]
-                        step = (gap + 1) / issue_width
-                        latency, hit_level, _, _ = demand_access(
-                            pc, lines_l[rel], cycle
-                        )
-                        if latency > hide:
-                            step += (latency - hide) / mlp
-                        cycle += step
-                        if measuring:
-                            measured_cycles += step
-                            gap_total += gap
-                            if hit_level == "l3" or hit_level == "dram":
-                                measured_misses += 1
-                                miss_by_pc[pc] += 1
-                        resize_left -= 1
-                        q += 1
-                        if hit_level == "l1":
-                            streak += 1
-                            if (
-                                streak >= RECLASSIFY_STREAK
-                                and q >= next_reclass
-                                and end - q >= RUN_MIN * 2
-                            ):
-                                next_reclass = q + batch
-                                streak = 0
-                                reclass = True
-                                break
-                        else:
-                            streak = 0
-                    if reclass:
-                        break
-                if not resize_left:
-                    resize_left = resize_window
-                    desired = desired_metadata_ways(hierarchy.metadata_ways)
-                    if desired is not None and desired != hierarchy.metadata_ways:
-                        hierarchy.set_metadata_ways(
-                            max(0, min(desired, max_meta_ways))
-                        )
-                        demand_access = _demand_fn(hierarchy)
-            pos = q if reclass else end
-
-    run_phase(0, warmup_records, False)
-    if warmup_records:
-        _reset_measurement(hierarchy)
-    run_phase(warmup_records, n, True)
-
-    measured_instructions = gap_total + (n - warmup_records)
+    d, l2pf, l1stats = hierarchy.dram.stats, hierarchy.l2_pf_stats, hierarchy.l1_pf_stats
+    d.reads, d.writes, d.metadata_reads, d.metadata_writes = reads, writes, md_reads, md_writes
+    l2pf.issued, l2pf.useful, l2pf.issued_by_pc, l2pf.useful_by_pc = (
+        issued, useful, issued_by_pc, useful_by_pc)
+    l1stats.issued, l1stats.useful = l1_issued, l1_useful
+    # The unused Python kernel closures hold the hierarchy in a reference
+    # cycle; drop them so refcounting frees its arrays now.  The native
+    # path allocates too few objects to trigger the cyclic GC often.
+    hierarchy._demand_kernel = hierarchy._issue_lines = None
     return _collect(
-        trace, scheme, hierarchy, measured_instructions, measured_cycles,
-        measured_misses, miss_by_pc,
+        trace, scheme, hierarchy, gap_total + (n - warmup_records), cycles,
+        misses, miss_by_pc,
     )
 
 
@@ -460,27 +327,21 @@ def simulate(
     warmup_frac: float = 0.25,
     resize_window: int = 8192,
     hierarchy_cls: Optional[type] = None,
-    batch_size: Optional[int] = None,
 ) -> SimResult:
-    """Run ``trace`` on the fastest bit-identical engine rung available.
+    """Run ``trace`` on the native kernel when it is loaded and
+    ``hierarchy_cls`` is the default, else on :func:`run_simulation`.
 
-    Selects :func:`run_simulation_batched` when numpy acceleration is on
-    (``REPRO_NUMPY`` auto/enabled) and the trace is array-backed, else
-    :func:`run_simulation`.  All rungs produce identical ``SimResult``s
-    (pinned by the equivalence suites), so the choice — like
-    ``batch_size`` — must never influence result cache keys.
+    Both rungs produce identical ``SimResult``s, so the choice never
+    enters result cache keys (invariant 10).
     """
     # One named injection point per simulation call (never per record:
     # the hot loop stays untouched); see repro.faults.
     _faults.fire("engine.simulate", detail=f"{scheme}:{trace.name}")
-    if (
-        hierarchy_cls in (None, Hierarchy)
-        and trace.records_array is not None
-        and _accel.numpy_enabled()
-    ):
-        return run_simulation_batched(
-            trace, config, l2_prefetcher, scheme, warmup_frac,
-            resize_window, hierarchy_cls, batch_size,
+    kernel = native.load() if hierarchy_cls in (None, Hierarchy) else None
+    if kernel is not None:
+        return _run_native(
+            kernel, trace, config, l2_prefetcher, scheme, warmup_frac,
+            resize_window,
         )
     return run_simulation(
         trace, config, l2_prefetcher, scheme, warmup_frac, resize_window,

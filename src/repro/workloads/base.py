@@ -56,15 +56,18 @@ class Trace:
     otherwise.  The storage backend is an implementation detail:
 
     - ``trace.pcs`` / ``trace.lines`` / ``trace.gaps`` always return
-      Python-int lists (materialized lazily and cached), so every scalar
-      consumer — the engines' record streams, digest hashing, analysis
-      code, JSON serialization — sees plain ints regardless of backend;
-    - ``trace.records_array`` / ``trace.column(name)`` expose the
-      structured array and its int64 field views (``None`` without
-      numpy) for the vectorized batch engine and the trace-file writers.
+      Python-int lists, so every scalar consumer — the flat engine's
+      record stream, digest hashing, analysis code, JSON serialization —
+      sees plain ints regardless of backend.  Array-backed traces build a
+      fresh list per access and never cache it: callers read each column
+      once per pass, and cached lists pinned ~5x the array's memory on
+      every trace a run keeps alive;
+    - ``trace.records_array`` exposes the structured array (``None``
+      without numpy) for the native engine kernel and the trace-file
+      writers.
 
-    Pickling ships only the identity fields plus the record storage; the
-    cached lists are dropped, so runner workers receive arrays.
+    Pickling ships the identity fields plus the record storage, so runner
+    workers receive arrays.
     """
 
     mlp: int
@@ -117,37 +120,20 @@ class Trace:
         """The structured record array, or ``None`` without numpy."""
         return self._rec
 
-    def column(self, field: str):
-        """Int64 view of one record field, or ``None`` without numpy."""
-        return self._rec[field] if self._rec is not None else None
-
     @property
     def pcs(self) -> List[int]:
-        if self._pcs is None:
-            self._pcs = self._rec["pc"].tolist()
-        return self._pcs
+        return self._pcs if self._rec is None else self._rec["pc"].tolist()
 
     @property
     def lines(self) -> List[int]:
-        if self._lines is None:
-            self._lines = self._rec["line"].tolist()
-        return self._lines
+        return self._lines if self._rec is None else self._rec["line"].tolist()
 
     @property
     def gaps(self) -> List[int]:
-        if self._gaps is None:
-            self._gaps = self._rec["gap"].tolist()
-        return self._gaps
+        return self._gaps if self._rec is None else self._rec["gap"].tolist()
 
     def __len__(self) -> int:
         return len(self._rec) if self._rec is not None else len(self._pcs)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        if state.get("_rec") is not None:
-            # Workers receive the record array; lists rematerialize lazily.
-            state["_pcs"] = state["_lines"] = state["_gaps"] = None
-        return state
 
     def __repr__(self) -> str:
         return f"Trace({self.label!r}, records={len(self)}, mlp={self.mlp})"

@@ -358,8 +358,8 @@ STARTER_SCENARIOS: Tuple[GeneratorScenario, ...] = (
     GeneratorScenario(
         "gen_hot_l1", "pointer_chase",
         "L1-resident pointer chase (12 KB footprint, conflict-free set "
-        "mapping, zero entropy): maximal hit runs, the batched engine's "
-        "best case",
+        "mapping, zero entropy): maximal hit runs, the engine's cheapest "
+        "per-record path",
         seed=15, mlp=2,
         params=(("footprint_lines", 192), ("entropy", 0.0),
                 ("repeat_prob", 1.0)),

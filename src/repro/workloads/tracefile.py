@@ -110,8 +110,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
     if TRACE_DTYPE is not None:
         # Build the structured record array directly from the stored
-        # columns — the loaded trace is batched-engine-ready with no
-        # per-record boxing.
+        # columns — the loaded trace is array-backed with no per-record
+        # boxing.
         if not (len(pcs) == len(lines) == len(gaps)):
             raise ValueError(f"{path}: pcs/lines/gaps lengths differ")
         rec = np.empty(len(pcs), dtype=TRACE_DTYPE)
