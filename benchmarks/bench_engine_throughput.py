@@ -42,12 +42,15 @@ and reference are bit-identical in output
 The **native** section races the native C kernel
 (:mod:`repro.sim.native`, what :func:`repro.sim.engine.simulate` runs
 when it is built) against the flat ``run_simulation`` loop on the seven
-Fig. 10 personas, under both the no-prefetcher baseline and Prophet, with
-every (persona, scheme, rung) repeat interleaved.  The aggregate
-``speedup_native_vs_flat_baseline`` / ``_prophet`` ratios (total records
-over summed best-of seconds) are gated by ``--check``; per-persona ratios
-are reported alongside.  Native and flat are bit-identical in output
-(``tests/test_native_engine_equivalence.py``, ``tests/test_golden_corpus.py``).
+Fig. 10 personas, under the no-prefetcher baseline and the three temporal
+prefetchers the kernel steps natively (Triangel, the profiling pass's
+Triage, Prophet), with every (persona, scheme, rung) repeat interleaved.
+The aggregate ``speedup_native_vs_flat_<scheme>`` ratios (total records
+over summed best-of seconds) are gated by ``--check`` where a floor is
+committed; per-persona ratios are reported alongside.  Native and flat
+are bit-identical in output (``tests/test_native_engine_equivalence.py``,
+``tests/test_native_temporal_equivalence.py``,
+``tests/test_golden_corpus.py``).
 Without a C toolchain the section records ``"available": false`` and
 ``--check`` fails on its missing ratios.
 
@@ -92,7 +95,9 @@ from pathlib import Path
 
 from repro.cache.reference import HierarchyReference
 from repro.core.pipeline import OptimizedBinary
+from repro.core.profiler import simplified_prefetcher
 from repro.experiments.common import spec_labels
+from repro.prefetchers.triangel import TriangelPrefetcher
 from repro.sim import native
 from repro.sim.config import default_config
 from repro.sim.engine import run_simulation, run_simulation_reference, simulate
@@ -252,6 +257,11 @@ def run_bench(n_records: int, repeats: int) -> dict:
     return result
 
 
+#: Schemes the native section races: the no-prefetcher baseline and the
+#: prefetchers whose observe the kernel steps natively.
+NATIVE_SCHEMES = ("baseline", "triangel", "profile", "prophet")
+
+
 def native_section(config, n_records: int, repeats: int) -> dict:
     """Native kernel vs flat loop on the seven Fig. 10 personas."""
     if native.load() is None:
@@ -261,15 +271,20 @@ def native_section(config, n_records: int, repeats: int) -> dict:
     for label in spec_labels():
         trace = make_trace(label, n_records)
         binary = OptimizedBinary.from_profile(trace, config)
-        for scheme, make_pf in (("baseline", lambda: None),
-                                ("prophet", lambda b=binary: b.prefetcher(config))):
+        makers = {
+            "baseline": lambda: None,
+            "triangel": lambda: TriangelPrefetcher(config),
+            "profile": lambda: simplified_prefetcher(config),
+            "prophet": lambda b=binary: b.prefetcher(config),
+        }
+        for scheme in NATIVE_SCHEMES:
             for rung, sim in (("native", simulate), ("flat", run_simulation)):
                 runs.append((f"{label}/{scheme}/{rung}",
-                             lambda t=trace, s=scheme, m=make_pf, f=sim:
+                             lambda t=trace, s=scheme, m=makers[scheme], f=sim:
                              f(t, config, m(), s)))
     timed = _measure_interleaved(runs, n_records, repeats)
     section = {"available": True, "workloads": spec_labels(), "per_workload": {}}
-    for scheme in ("baseline", "prophet"):
+    for scheme in NATIVE_SCHEMES:
         total = {}
         for rung in ("native", "flat"):
             best = [timed[f"{label}/{scheme}/{rung}"]["seconds_best"]
@@ -285,8 +300,9 @@ def native_section(config, n_records: int, repeats: int) -> dict:
                 / timed[f"{label}/{scheme}/native"]["seconds_best"], 3)
     section["note"] = (
         "Native C kernel vs the flat scalar loop, seven Fig. 10 personas, "
-        "baseline and Prophet; every (persona, scheme, rung) repeat "
-        "interleaved.  Aggregate speedups are total flat over total native "
+        "baseline, Triangel, the profiling Triage and Prophet; every "
+        "(persona, scheme, rung) repeat interleaved.  Aggregate speedups "
+        "are total flat over total native "
         "best-of seconds; per_workload holds the per-persona ratios.  Both "
         "rungs are bit-identical in output."
     )
@@ -315,7 +331,7 @@ def _ratio_metrics(result: dict) -> dict:
         )
     section = result.get("native") or {}
     if section.get("available"):
-        for scheme in ("baseline", "prophet"):
+        for scheme in NATIVE_SCHEMES:
             metrics[f"native_vs_flat_{scheme}"] = (
                 section[f"speedup_native_vs_flat_{scheme}"]
             )
@@ -433,7 +449,7 @@ def main(argv=None) -> int:
           f"{fill['speedup_flat_vs_reference_prophet']:.3f}x prophet")
     section = result["native"]
     if section["available"]:
-        for scheme in ("baseline", "prophet"):
+        for scheme in NATIVE_SCHEMES:
             print(f"native.{scheme:8s} "
                   f"{section[f'{scheme}_native_records_per_sec']:>12,.0f} vs "
                   f"{section[f'{scheme}_flat_records_per_sec']:>10,.0f} "

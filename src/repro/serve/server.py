@@ -351,7 +351,9 @@ class ExperimentService:
         observed change (tracker-version driven — the generator blocks
         on the tracker's condition, not a busy loop), a ``heartbeat``
         (rendered as an SSE comment) after ``heartbeat`` quiet seconds,
-        and ends with the terminal ``done``/``failed`` event.
+        and ends with the terminal ``done``/``failed`` event — preceded by
+        a frame with the final counters whenever the job finished after
+        the stream's last progress frame.
 
         ``event_id`` is the tracker's progress version — the handler
         writes it as the SSE ``id:`` field.  A reconnecting client sends
@@ -372,7 +374,12 @@ class ExperimentService:
             state = record.state
             if state in (DONE, FAILED):
                 tracker = record.tracker
-                final_id = tracker.snapshot()["version"] if tracker else None
+                snap = tracker.snapshot() if tracker else None
+                final_id = snap["version"] if snap else None
+                if seen is not None and final_id != seen[1]:
+                    # The job finished between two polls: its last counters
+                    # still precede the terminal event.
+                    yield "progress", {"state": state, "progress": snap}, final_id
                 yield ("done" if state == DONE else "failed"), \
                     record.summary(), final_id
                 return

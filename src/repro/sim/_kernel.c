@@ -8,13 +8,16 @@
  * state lives in plain C arrays owned by one ``Kernel`` for the duration
  * of the call.
  *
- * The L2 temporal prefetcher stays in Python: the kernel calls
+ * Triage, Triangel and Prophet train and walk here too (the native
+ * temporal step, ``tp_observe``), on their own Python objects.  Every
+ * other L2 prefetcher stays in Python: the kernel calls
  * ``observe_fast(pc, line)`` when the prefetcher has one, else the
  * generic ``observe(L2AccessInfo)`` (plus ``drain_metadata_traffic()``
  * for off-chip metadata schemes), along with ``note_useful`` /
  * ``note_issued`` and a non-stride L1 prefetcher's ``observe``.  After a
  * resize poll the kernel calls back into Python to apply the resize and
- * re-fetches every prefetcher callable (the rebind rule).
+ * re-fetches every prefetcher callable and the native step's state (the
+ * rebind rule).
  *
  * Output must be bit-identical to ``repro.sim.engine.run_simulation``:
  * every branch below mirrors ``Hierarchy._bind_demand_kernel`` and the
@@ -299,6 +302,623 @@ static inline Py_ssize_t plru_slot(Cache *c, int64_t line, int64_t *victim)
 }
 
 /* ------------------------------------------------------------------ */
+/* native temporal-prefetcher step                                     */
+/* ------------------------------------------------------------------ */
+/* Triage, Triangel and Prophet's per-access observe, statement for
+ * statement: ``TriagePrefetcher.observe``, ``TriangelPrefetcher.observe``
+ * and the fused pass of ``ProphetPrefetcher._bind_observe`` are the
+ * oracles.  The state stays in the prefetcher's own Python objects --
+ * the trainer, sampler and last-line dicts, the metadata table's index
+ * dicts and flat arrays, the MVB's slot dict and arrays, Triage's key
+ * sets -- reached through the C API and the buffer protocol.  Only the
+ * scalar counters live here: ``tp_store`` writes them back and drops
+ * every reference before each Python callback and at the end of the run,
+ * and ``tp_load`` re-fetches everything after it (a resize rebuilds the
+ * table).  A line the packed trainer int cannot hold in int64 runs that
+ * access through the Python observe instead (the hatch). */
+enum { TP_PY, TP_TRIAGE, TP_TRIANGEL, TP_PROPHET };
+#define TP_HATCH 1 /* tp_observe: the Python observe must run this access */
+
+/* Packed trainer entry: (last_line + 1) << 24 | blocked << 8 | pattern << 4 | reuse. */
+#define T_LAST_SHIFT 24
+#define T_BLOCKED_MASK 0xFFFF
+#define T_LINE_LIMIT ((int64_t)1 << (63 - T_LAST_SHIFT)) /* bound on line + 1 */
+#define CONF_MAX 15        /* PATTERN_CONF_MAX, REUSE_CONF_MAX */
+#define RUNTIME_PRIORITY 1 /* repro.core.prophet.RUNTIME_PRIORITY */
+#define MVB_COUNTER_MAX 3  /* repro.core.mvb.COUNTER_MAX */
+
+/* Scalar counters cached in C, and the Python attributes they mirror. */
+enum { ST_INS, ST_REPL, ST_OVER, ST_LOOKUPS, ST_HITS, ST_PEAK, N_ST };
+static const char *const ST_NAMES[N_ST] = {"insertions", "replacements", "overwrites",
+                                           "lookups", "hits", "peak_allocated"};
+enum { PF_AI, PF_USEFUL, PF_ISSUED, N_PF };
+static const char *const PF_NAMES[N_PF] = {"_access_index", "_window_useful", "_window_issued"};
+enum { MV_CLOCK, MV_INSERTS, MV_HITS, MV_LOOKUPS, N_MV };
+static const char *const MV_NAMES[N_MV] = {"_clock", "inserts", "hits", "lookups"};
+enum { B_CKEY, B_KEY, B_TARGET, B_PRIO, B_RRPV, B_MKEY, B_LRU, B_NTGT, B_TGT, B_CTR, N_BUF };
+
+typedef struct {
+    int kind, loaded, off;
+    PyObject *pf; /* borrowed: run()'s argument */
+    int64_t tag_mask;
+    /* Python state, re-fetched by tp_load (owned references) */
+    PyObject *stats, *dense_of, *way_of, *line_of, *trainer, *sampler, *hints, *mvb,
+        *slot_of, *last_line, *epoch_keys, *keys_by_pc;
+    Py_buffer views[N_BUF];
+    int held[N_BUF];
+    int64_t *ckey, *key, *target, *m_key, *m_lru, *m_tgt;
+    int8_t *prio, *rrpv, *m_ntgt, *m_ctr;
+    int64_t n_sets, assoc, capacity, fill_rrpv, m_sets, m_assoc, m_cand, degree;
+    int64_t trainer_size, sampler_size, interval, pat_thr, reuse_thr, period;
+    int prophet_prio, filter, feat_ins, feat_repl, track;
+    int64_t st[N_ST], pfc[N_PF], mv[N_MV], live;
+    int64_t *out; /* the lines one access issues */
+    Py_ssize_t out_cap;
+} Temporal;
+
+static int attr_int(PyObject *o, const char *name, int64_t *out)
+{
+    PyObject *v = PyObject_GetAttrString(o, name);
+    if (!v) return -1;
+    *out = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int attr_truth(PyObject *o, const char *name, int *out)
+{
+    PyObject *v = PyObject_GetAttrString(o, name);
+    if (!v) return -1;
+    *out = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return *out;
+}
+
+static int attr_set(PyObject *o, const char *name, int64_t value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    int rc = v ? PyObject_SetAttrString(o, name, v) : -1;
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* ``owner.name`` as an exact dict (or set), in ``*out``. */
+static int attr_dict(PyObject *owner, const char *name, PyObject **out, int set)
+{
+    if (!(*out = PyObject_GetAttrString(owner, name))) return -1;
+    if (set ? PySet_CheckExact(*out) : PyDict_CheckExact(*out)) return 0;
+    PyErr_Format(PyExc_TypeError, "%s must be a plain %s", name, set ? "set" : "dict");
+    return -1;
+}
+
+/* Writable view of the array ``owner.name``: ``n`` items of ``size`` bytes. */
+static int tp_view(Temporal *t, int i, PyObject *owner, const char *name, int64_t n,
+                   int size, void *out)
+{
+    PyObject *o = PyObject_GetAttrString(owner, name);
+    if (!o) return -1;
+    int rc = PyObject_GetBuffer(o, &t->views[i], PyBUF_WRITABLE);
+    Py_DECREF(o);
+    if (rc < 0) return -1;
+    t->held[i] = 1;
+    if (t->views[i].itemsize != size || t->views[i].len != n * size) {
+        PyErr_Format(PyExc_ValueError, "%s: unexpected array layout", name);
+        return -1;
+    }
+    *(void **)out = t->views[i].buf;
+    return 0;
+}
+
+static void tp_release(Temporal *t)
+{
+    PyObject **objs[] = {&t->stats, &t->dense_of, &t->way_of, &t->line_of, &t->trainer,
+                         &t->sampler, &t->hints, &t->mvb, &t->slot_of, &t->last_line,
+                         &t->epoch_keys, &t->keys_by_pc};
+    for (size_t i = 0; i < sizeof(objs) / sizeof(*objs); i++) Py_CLEAR(*objs[i]);
+    for (int i = 0; i < N_BUF; i++)
+        if (t->held[i]) {
+            PyBuffer_Release(&t->views[i]);
+            t->held[i] = 0;
+        }
+    t->loaded = 0;
+}
+
+/* Prophet's hint buffer as {pc: priority << 1 | insert}. */
+static PyObject *tp_hints(PyObject *pf)
+{
+    PyObject *buffer = PyObject_GetAttrString(pf, "hint_buffer"), *entries = NULL, *out = NULL;
+    if (buffer && attr_dict(buffer, "_entries", &entries, 0) == 0) out = PyDict_New();
+    Py_ssize_t pos = 0;
+    PyObject *pc, *hint;
+    while (out && PyDict_Next(entries, &pos, &pc, &hint)) {
+        int insert;
+        int64_t priority;
+        PyObject *v = NULL;
+        if (attr_truth(hint, "insert", &insert) < 0 || attr_int(hint, "priority", &priority) < 0
+            || !(v = PyLong_FromLongLong(priority << 1 | insert)) || PyDict_SetItem(out, pc, v) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(v);
+    }
+    Py_XDECREF(buffer);
+    Py_XDECREF(entries);
+    return out;
+}
+
+static int tp_load_mvb(Temporal *t)
+{
+    PyObject *m = t->mvb;
+    int64_t n;
+    if (attr_dict(m, "_slot_of", &t->slot_of, 0) < 0 || attr_int(m, "n_sets", &t->m_sets) < 0
+        || attr_int(m, "assoc", &t->m_assoc) < 0
+        || attr_int(m, "candidates_per_entry", &t->m_cand) < 0)
+        return -1;
+    n = t->m_sets * t->m_assoc;
+    if (tp_view(t, B_MKEY, m, "_key", n, 8, &t->m_key) < 0
+        || tp_view(t, B_LRU, m, "_lru", n, 8, &t->m_lru) < 0
+        || tp_view(t, B_NTGT, m, "_ntgt", n, 1, &t->m_ntgt) < 0
+        || tp_view(t, B_TGT, m, "_tgt", n * t->m_cand, 8, &t->m_tgt) < 0
+        || tp_view(t, B_CTR, m, "_ctr", n * t->m_cand, 1, &t->m_ctr) < 0)
+        return -1;
+    for (int i = 0; i < N_MV; i++)
+        if (attr_int(m, MV_NAMES[i], &t->mv[i]) < 0) return -1;
+    return 0;
+}
+
+/* Fetch the prefetcher's state and counters (no-op on the Python path). */
+static int tp_load(Temporal *t)
+{
+    if (!t->kind) return 0;
+    PyObject *pf = t->pf, *table = PyObject_GetAttrString(pf, "table");
+    int rc = -1;
+    t->loaded = 1;
+    if (!table || !(t->stats = PyObject_GetAttrString(table, "stats"))
+        || attr_dict(table, "_dense_of", &t->dense_of, 0) < 0
+        || attr_dict(table, "_way_of", &t->way_of, 0) < 0
+        || !(t->line_of = PyObject_GetAttrString(table, "_line_of"))
+        || attr_int(table, "n_sets", &t->n_sets) < 0 || attr_int(table, "assoc", &t->assoc) < 0
+        || attr_int(table, "_srrip_fill_rrpv", &t->fill_rrpv) < 0
+        || attr_int(table, "_live", &t->live) < 0
+        || attr_truth(table, "prophet_priorities", &t->prophet_prio) < 0
+        || attr_int(pf, "degree", &t->degree) < 0)
+        goto done;
+    if (!PyList_CheckExact(t->line_of)) {
+        PyErr_SetString(PyExc_TypeError, "_line_of must be a plain list");
+        goto done;
+    }
+    t->capacity = t->n_sets * t->assoc;
+    if (tp_view(t, B_CKEY, table, "_ckey", t->capacity, 8, &t->ckey) < 0
+        || tp_view(t, B_KEY, table, "_key", t->capacity, 8, &t->key) < 0
+        || tp_view(t, B_TARGET, table, "_target", t->capacity, 8, &t->target) < 0
+        || tp_view(t, B_PRIO, table, "_prio", t->capacity, 1, &t->prio) < 0
+        || tp_view(t, B_RRPV, table, "_srrip_rrpv", t->capacity, 1, &t->rrpv) < 0)
+        goto done;
+    for (int i = 0; i < N_ST; i++)
+        if (attr_int(t->stats, ST_NAMES[i], &t->st[i]) < 0) goto done;
+    t->m_cand = 0;
+    if (t->kind == TP_TRIAGE) {
+        if (attr_dict(pf, "_last_line", &t->last_line, 0) < 0
+            || attr_dict(pf, "_epoch_keys", &t->epoch_keys, 1) < 0
+            || attr_dict(pf, "_inserted_keys_by_pc", &t->keys_by_pc, 0) < 0
+            || attr_truth(pf, "track_inserts", &t->track) < 0)
+            goto done;
+    } else {
+        if (attr_dict(pf, "_trainer", &t->trainer, 0) < 0
+            || attr_dict(pf, "_sampler", &t->sampler, 0) < 0
+            || attr_int(pf, "trainer_size", &t->trainer_size) < 0
+            || attr_int(pf, "sampler_size", &t->sampler_size) < 0
+            || attr_int(pf, "sample_interval", &t->interval) < 0
+            || attr_int(pf, "pattern_threshold", &t->pat_thr) < 0
+            || attr_int(pf, "reuse_threshold", &t->reuse_thr) < 0
+            || attr_int(pf, "SAMPLED_INSERTION_PERIOD", &t->period) < 0
+            || attr_truth(pf, "insertion_filter_enabled", &t->filter) < 0)
+            goto done;
+        if (!t->interval || !t->period) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
+            goto done;
+        }
+        for (int i = 0; i < N_PF; i++)
+            if (attr_int(pf, PF_NAMES[i], &t->pfc[i]) < 0) goto done;
+    }
+    if (t->kind == TP_PROPHET) {
+        int64_t ways;
+        int resizing, enabled;
+        if (attr_int(pf, "initial_ways", &ways) < 0
+            || attr_truth(pf, "_feat_resizing", &resizing) < 0
+            || attr_truth(pf, "_feat_insertion", &t->feat_ins) < 0
+            || attr_truth(pf, "_feat_replacement", &t->feat_repl) < 0
+            || attr_truth(pf, "prophet_enabled", &enabled) < 0
+            || (enabled && !(t->hints = tp_hints(pf)))
+            || !(t->mvb = PyObject_GetAttrString(pf, "mvb")))
+            goto done;
+        t->off = ways == 0 && resizing; /* Equation 3 disabled the prefetcher */
+        if (t->mvb == Py_None)
+            Py_CLEAR(t->mvb);
+        else if (tp_load_mvb(t) < 0)
+            goto done;
+    }
+    Py_ssize_t cap = (t->degree > 0 ? t->degree : 0) * (1 + t->m_cand) + 1;
+    if (cap > t->out_cap) {
+        int64_t *out = realloc(t->out, cap * sizeof(int64_t));
+        if (!out) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        t->out = out;
+        t->out_cap = cap;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(table);
+    return rc;
+}
+
+/* Write the counters back to the Python objects and drop every reference. */
+static int tp_store(Temporal *t)
+{
+    if (!t->loaded) return 0;
+    int rc = 0;
+    for (int i = 0; i < N_ST && !rc; i++) rc = attr_set(t->stats, ST_NAMES[i], t->st[i]);
+    if (!rc) {
+        PyObject *table = PyObject_GetAttrString(t->pf, "table");
+        rc = table ? attr_set(table, "_live", t->live) : -1;
+        Py_XDECREF(table);
+    }
+    for (int i = 0; i < N_PF && !rc && t->kind != TP_TRIAGE; i++)
+        rc = attr_set(t->pf, PF_NAMES[i], t->pfc[i]);
+    for (int i = 0; i < N_MV && !rc && t->mvb; i++) rc = attr_set(t->mvb, MV_NAMES[i], t->mv[i]);
+    tp_release(t);
+    return rc;
+}
+
+/* Slot of a dict-held index value, bounds-checked against ``n``. */
+static Py_ssize_t slot_value(PyObject *v, int64_t n)
+{
+    Py_ssize_t slot = PyLong_AsSsize_t(v);
+    if (slot >= 0 && slot < n) return slot;
+    if (!PyErr_Occurred()) PyErr_SetString(PyExc_IndexError, "slot out of range");
+    return -2;
+}
+
+/* Metadata-table slot holding ``lo`` (a line as a Python int): -1 when
+ * none, -2 on error.  MetadataTable.probe's two dict gets. */
+static Py_ssize_t tp_slot(Temporal *t, PyObject *lo)
+{
+    PyObject *ck = PyDict_GetItemWithError(t->dense_of, lo);
+    PyObject *s = ck ? PyDict_GetItemWithError(t->way_of, ck) : NULL;
+    if (!s) return PyErr_Occurred() ? -2 : -1;
+    return slot_value(s, t->capacity);
+}
+
+/* ``d.pop(next(iter(d)))``: FIFO eviction from an insertion-ordered dict. */
+static int pop_first(PyObject *d)
+{
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    if (!PyDict_Next(d, &pos, &key, &value)) return 0;
+    Py_INCREF(key);
+    int rc = PyDict_DelItem(d, key);
+    Py_DECREF(key);
+    return rc;
+}
+
+/* ``d[key] = value`` for an int value. */
+static int set_int(PyObject *d, PyObject *key, int64_t value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    int rc = v ? PyDict_SetItem(d, key, v) : -1;
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* MultiPathVictimBuffer._evict: lowest max-counter first, LRU tie-break. */
+static Py_ssize_t mvb_evict(Temporal *t, Py_ssize_t base)
+{
+    Py_ssize_t victim = -1;
+    int64_t best_ctr = -1, best_lru = -1;
+    for (Py_ssize_t s = base; s < base + t->m_assoc; s++) {
+        if (t->m_key[s] < 0) continue;
+        int64_t mx = 0;
+        for (Py_ssize_t i = s * t->m_cand; i < s * t->m_cand + t->m_ntgt[s]; i++)
+            if (t->m_ctr[i] > mx) mx = t->m_ctr[i];
+        if (victim < 0 || mx < best_ctr || (mx == best_ctr && t->m_lru[s] < best_lru)) {
+            victim = s;
+            best_ctr = mx;
+            best_lru = t->m_lru[s];
+        }
+    }
+    PyObject *key = PyLong_FromLongLong(t->m_key[victim]);
+    int rc = key ? PyDict_DelItem(t->slot_of, key) : -1;
+    Py_XDECREF(key);
+    t->m_key[victim] = -1;
+    return rc < 0 ? -1 : victim;
+}
+
+/* MultiPathVictimBuffer.insert (lines are non-negative, so C's modulo
+ * is Python's). */
+static int mvb_insert(Temporal *t, int64_t line, int64_t target, int priority)
+{
+    if (!t->mvb || priority <= 0) return 0;
+    int64_t clock = ++t->mv[MV_CLOCK];
+    PyObject *lo = PyLong_FromLongLong(line), *s;
+    if (!lo) return -1;
+    Py_ssize_t slot = -1;
+    if ((s = PyDict_GetItemWithError(t->slot_of, lo))) {
+        slot = slot_value(s, t->m_sets * t->m_assoc);
+    } else if (!PyErr_Occurred()) {
+        Py_ssize_t base = (line % t->m_sets) * t->m_assoc;
+        for (Py_ssize_t w = base; w < base + t->m_assoc; w++)
+            if (t->m_key[w] < 0) {
+                slot = w;
+                break;
+            }
+        if (slot < 0) slot = mvb_evict(t, base);
+        if (slot >= 0) {
+            t->m_key[slot] = line;
+            t->m_ntgt[slot] = 0;
+            if (set_int(t->slot_of, lo, slot) < 0) slot = -1;
+        }
+    }
+    Py_DECREF(lo);
+    if (slot < 0) return -1;
+    t->m_lru[slot] = clock;
+    Py_ssize_t base = slot * t->m_cand, n = t->m_ntgt[slot];
+    for (Py_ssize_t i = base; i < base + n; i++)
+        if (t->m_tgt[i] == target) return 0;
+    if (n >= t->m_cand) {
+        /* Displace the coldest stored target (first minimum). */
+        Py_ssize_t ci = base;
+        for (Py_ssize_t i = base + 1; i < base + n; i++)
+            if (t->m_ctr[i] < t->m_ctr[ci]) ci = i;
+        t->m_tgt[ci] = target;
+        t->m_ctr[ci] = 0;
+    } else {
+        t->m_tgt[base + n] = target;
+        t->m_ctr[base + n] = 0;
+        t->m_ntgt[slot] = (int8_t)(n + 1);
+    }
+    t->mv[MV_INSERTS]++;
+    return 0;
+}
+
+/* SRRIP victim within the set at ``base``: the first way with the largest
+ * RRPV, among the lowest-priority ways under Prophet's priorities. */
+static Py_ssize_t tp_victim(const Temporal *t, Py_ssize_t base)
+{
+    Py_ssize_t end = base + t->assoc, victim = base;
+    int min_prio = t->prio[base], best = -1;
+    if (t->prophet_prio)
+        for (Py_ssize_t s = base + 1; s < end; s++)
+            if (t->prio[s] < min_prio) min_prio = t->prio[s];
+    for (Py_ssize_t s = base; s < end; s++)
+        if ((!t->prophet_prio || t->prio[s] == min_prio) && t->rrpv[s] > best) {
+            best = t->rrpv[s];
+            victim = s;
+        }
+    return victim;
+}
+
+/* MetadataTable.insert_fast(line -> target) for the SRRIP table; the
+ * displaced mapping goes to the MVB, if any.  ``lo`` is ``line`` as a
+ * Python int. */
+static int tp_insert(Temporal *t, int64_t line, PyObject *lo, int64_t target, int priority)
+{
+    PyObject *ck_o = PyDict_GetItemWithError(t->dense_of, lo), *s;
+    int64_t ck;
+    int rc = -1;
+    if (ck_o) {
+        Py_INCREF(ck_o);
+        if ((ck = PyLong_AsLongLong(ck_o)) == -1 && PyErr_Occurred()) goto done;
+    } else {
+        /* First touch: the next structural index, keyed for this geometry. */
+        Py_ssize_t idx = PyList_GET_SIZE(t->line_of);
+        ck = ((idx / t->n_sets) & t->tag_mask) * t->n_sets + idx % t->n_sets;
+        if (PyList_Append(t->line_of, lo) < 0 || !(ck_o = PyLong_FromLongLong(ck))
+            || PyDict_SetItem(t->dense_of, lo, ck_o) < 0)
+            goto done;
+    }
+    if ((s = PyDict_GetItemWithError(t->way_of, ck_o))) {
+        /* Resident (possibly aliased) entry: overwrite in place. */
+        Py_ssize_t slot = slot_value(s, t->capacity);
+        if (slot < 0) goto done;
+        int64_t old_target = t->target[slot];
+        int old_prio = t->prio[slot];
+        t->target[slot] = target;
+        t->prio[slot] = (int8_t)priority;
+        t->rrpv[slot] = 0;
+        rc = 0;
+        if (old_target != target) {
+            t->st[ST_OVER]++;
+            rc = mvb_insert(t, line, old_target, old_prio);
+        }
+        goto done;
+    }
+    if (PyErr_Occurred()) goto done;
+    Py_ssize_t base = (ck % t->n_sets) * t->assoc, slot = -1;
+    for (Py_ssize_t w = base; w < base + t->assoc; w++)
+        if (t->ckey[w] < 0) {
+            slot = w;
+            break;
+        }
+    if (slot < 0) {
+        slot = tp_victim(t, base);
+        PyObject *old = PyLong_FromLongLong(t->ckey[slot]);
+        int bad = !old || PyDict_DelItem(t->way_of, old) < 0
+                  || mvb_insert(t, t->key[slot], t->target[slot], t->prio[slot]) < 0;
+        Py_XDECREF(old);
+        if (bad) goto done;
+        t->st[ST_REPL]++;
+        t->live--;
+    }
+    t->ckey[slot] = ck;
+    t->key[slot] = line;
+    t->target[slot] = target;
+    t->prio[slot] = (int8_t)priority;
+    t->rrpv[slot] = (int8_t)t->fill_rrpv;
+    if (set_int(t->way_of, ck_o, slot) < 0) goto done;
+    t->st[ST_INS]++;
+    if (++t->live > t->st[ST_PEAK]) t->st[ST_PEAK] = t->live;
+    rc = 0;
+done:
+    Py_XDECREF(ck_o);
+    return rc;
+}
+
+/* The degree-d chain walk from ``line`` (``lo``), consulting the MVB at
+ * every step when there is one.  Returns the number of lines in
+ * ``t->out``, or -1. */
+static Py_ssize_t tp_walk(Temporal *t, PyObject *lo)
+{
+    Py_ssize_t n = 0;
+    PyObject *cursor = Py_NewRef(lo);
+    for (int64_t d = 0; d < t->degree; d++) {
+        t->st[ST_LOOKUPS]++;
+        int64_t target = -1;
+        Py_ssize_t slot = tp_slot(t, cursor);
+        if (slot < -1) goto fail;
+        if (slot >= 0) {
+            t->st[ST_HITS]++;
+            t->rrpv[slot] = 0;
+            target = t->target[slot];
+        }
+        if (t->mvb) {
+            t->mv[MV_LOOKUPS]++;
+            PyObject *s = PyDict_GetItemWithError(t->slot_of, cursor);
+            if (s) {
+                /* MVB hit: touch LRU, serve the non-excluded targets. */
+                Py_ssize_t m = slot_value(s, t->m_sets * t->m_assoc);
+                if (m < 0 || t->m_ntgt[m] > t->m_cand) goto fail;
+                t->m_lru[m] = ++t->mv[MV_CLOCK];
+                int got = 0;
+                for (Py_ssize_t i = m * t->m_cand; i < m * t->m_cand + t->m_ntgt[m]; i++) {
+                    if (t->m_tgt[i] == target) continue;
+                    if (t->m_ctr[i] < MVB_COUNTER_MAX) t->m_ctr[i]++;
+                    t->out[n++] = t->m_tgt[i];
+                    got = 1;
+                }
+                t->mv[MV_HITS] += got;
+            } else if (PyErr_Occurred()) {
+                goto fail;
+            }
+        }
+        if (target < 0) break;
+        t->out[n++] = target;
+        if (d + 1 < t->degree) Py_SETREF(cursor, PyLong_FromLongLong(target));
+        if (!cursor) return -1;
+    }
+    Py_DECREF(cursor);
+    return n;
+fail:
+    Py_DECREF(cursor);
+    return -1;
+}
+
+/* TriagePrefetcher.observe: every trained pair is inserted. */
+static Py_ssize_t triage_step(Temporal *t, PyObject *pc, int64_t line, PyObject *lo)
+{
+    PyObject *last_o = PyDict_GetItemWithError(t->last_line, pc);
+    if (last_o) {
+        int64_t last = PyLong_AsLongLong(last_o);
+        if (last == -1 && PyErr_Occurred()) return -1;
+        if (last != line) {
+            Py_INCREF(last_o);
+            int bad = tp_insert(t, last, last_o, line, 0) < 0
+                      || PySet_Add(t->epoch_keys, last_o) < 0;
+            if (!bad && t->track) {
+                /* _inserted_keys_by_pc.setdefault(pc, set()).add(last) */
+                PyObject *keys = PyDict_GetItemWithError(t->keys_by_pc, pc);
+                if (!keys && !PyErr_Occurred() && (keys = PySet_New(NULL))) {
+                    bad = PyDict_SetItem(t->keys_by_pc, pc, keys) < 0;
+                    Py_DECREF(keys);
+                }
+                bad = bad || !keys || PySet_Add(keys, last_o) < 0;
+            }
+            Py_DECREF(last_o);
+            if (bad) return -1;
+        }
+    } else if (PyErr_Occurred()) {
+        return -1;
+    }
+    if (PyDict_SetItem(t->last_line, pc, lo) < 0) return -1;
+    return tp_walk(t, lo);
+}
+
+/* TriangelPrefetcher.observe, and Prophet's fused pass on top of it
+ * (hint consult, priorities, MVB).  -2: hatch, nothing changed yet. */
+static Py_ssize_t triangel_step(Temporal *t, PyObject *pc, int64_t line, PyObject *lo)
+{
+    int64_t last = -1, blocked = 0, pat = 8, reuse = 8, hint = -1;
+    PyObject *packed = PyDict_GetItemWithError(t->trainer, pc), *last_o = NULL, *v;
+    if (packed) {
+        int overflow;
+        long long p = PyLong_AsLongLongAndOverflow(packed, &overflow);
+        if (p == -1 && PyErr_Occurred()) return -1;
+        if (overflow || p < 0) return -2; /* trained on a hatched line */
+        last = (p >> T_LAST_SHIFT) - 1;
+        blocked = (p >> 8) & T_BLOCKED_MASK;
+        pat = (p >> 4) & 0xF;
+        reuse = p & 0xF;
+    } else if (PyErr_Occurred()
+               || (PyDict_GET_SIZE(t->trainer) >= t->trainer_size && pop_first(t->trainer) < 0)) {
+        return -1;
+    }
+    int64_t ai = ++t->pfc[PF_AI];
+    int trains = last >= 0 && last != line, allow;
+    if (trains) {
+        /* PatternConf: did the recorded pattern predict this access? */
+        if (!(last_o = PyLong_FromLongLong(last))) return -1;
+        Py_ssize_t slot = tp_slot(t, last_o);
+        if (slot < -1) goto fail;
+        if (slot >= 0) {
+            if (t->target[slot] == line) {
+                if (pat < CONF_MAX) pat++;
+            } else if (pat > 0) {
+                pat--;
+            }
+        }
+    }
+    /* ReuseConf: does the sampled reuse distance fit the table? */
+    if ((v = PyDict_GetItemWithError(t->sampler, lo))) {
+        int64_t seen_at = PyLong_AsLongLong(v);
+        if (seen_at == -1 && PyErr_Occurred()) goto fail;
+        if (ai - seen_at <= t->capacity) {
+            if (reuse < CONF_MAX) reuse++;
+        } else if (reuse > 0) {
+            reuse--;
+        }
+        if (set_int(t->sampler, lo, ai) < 0) goto fail;
+    } else if (PyErr_Occurred()) {
+        goto fail;
+    } else if (ai % t->interval == 0) {
+        if ((PyDict_GET_SIZE(t->sampler) >= t->sampler_size && pop_first(t->sampler) < 0)
+            || set_int(t->sampler, lo, ai) < 0)
+            goto fail;
+    }
+    /* Insertion decision: Prophet's hint, else the runtime policy. */
+    if (t->hints && (v = PyDict_GetItemWithError(t->hints, pc))) hint = PyLong_AsLongLong(v);
+    if (PyErr_Occurred()) goto fail;
+    if (hint >= 0 && t->feat_ins) {
+        allow = hint & 1;
+    } else if (!t->filter || (pat >= t->pat_thr && reuse >= t->reuse_thr)) {
+        allow = 1;
+    } else {
+        blocked = (blocked + 1) & T_BLOCKED_MASK;
+        allow = blocked % t->period == 0;
+    }
+    if (trains && allow) {
+        int priority = t->kind != TP_PROPHET ? 0
+                       : hint >= 0 && t->feat_repl ? (int)(hint >> 1) : RUNTIME_PRIORITY;
+        if (tp_insert(t, last, last_o, line, priority) < 0) goto fail;
+    }
+    Py_CLEAR(last_o);
+    if (set_int(t->trainer, pc, (line + 1) << T_LAST_SHIFT | blocked << 8 | pat << 4 | reuse) < 0)
+        return -1;
+    return allow ? tp_walk(t, lo) : 0;
+fail:
+    Py_XDECREF(last_o);
+    return -1;
+}
+
+/* ------------------------------------------------------------------ */
 /* the kernel                                                          */
 /* ------------------------------------------------------------------ */
 typedef struct {
@@ -341,6 +961,9 @@ typedef struct {
     int null_l1, null_l2, offchip;
     PyObject *observe_fast, *observe, *note_useful, *note_issued, *l1_observe;
     PyObject *drain, *access_info, *desired, *resize;
+
+    /* The native temporal-prefetcher step (kind TP_PY: none). */
+    Temporal tp;
 } Kernel;
 
 static int issue_line(Kernel *k, int64_t line, int64_t trigger, double cycle);
@@ -502,10 +1125,11 @@ static inline void fill_l1(Kernel *k, int64_t line, uint8_t flags)
 }
 
 /* --- L2 prefetcher dispatch ---------------------------------------- */
-static int observe_l2(Kernel *k, int64_t pc, int64_t line, double cycle, int l2_hit,
+/* The prefetcher's Python observe: ``observe_fast`` when it has one, else
+ * ``observe(L2AccessInfo)`` (plus the off-chip metadata drain). */
+static int observe_py(Kernel *k, int64_t pc, int64_t line, double cycle, int l2_hit,
                       int from_l1_pf)
 {
-    if (k->null_l2) return 0;
     if (k->observe_fast) {
         PyObject *lines = call_ll(k->observe_fast, pc, line);
         if (!lines) return -1;
@@ -574,6 +1198,38 @@ done:
     return rc;
 }
 
+/* One L2 access through the native step: train, walk, issue.  Returns 0,
+ * -1 on error, or TP_HATCH when the Python observe must run it. */
+static int tp_observe(Kernel *k, int64_t pc, int64_t line, double cycle)
+{
+    Temporal *t = &k->tp;
+    if (t->off) return 0;
+    if (line < 0 || line + 1 >= T_LINE_LIMIT) return TP_HATCH;
+    PyObject *pc_o = PyLong_FromLongLong(pc), *lo = PyLong_FromLongLong(line);
+    Py_ssize_t n = -1;
+    if (pc_o && lo)
+        n = t->kind == TP_TRIAGE ? triage_step(t, pc_o, line, lo) : triangel_step(t, pc_o, line, lo);
+    Py_XDECREF(pc_o);
+    Py_XDECREF(lo);
+    if (n == -2) return TP_HATCH;
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (issue_line(k, t->out[i], pc, cycle) < 0) return -1;
+    return n < 0 ? -1 : 0;
+}
+
+static int observe_l2(Kernel *k, int64_t pc, int64_t line, double cycle, int l2_hit,
+                      int from_l1_pf)
+{
+    if (k->null_l2) return 0;
+    if (!k->tp.kind) return observe_py(k, pc, line, cycle, l2_hit, from_l1_pf);
+    int rc = tp_observe(k, pc, line, cycle);
+    if (rc != TP_HATCH) return rc;
+    /* The hatch: hand the counters to the Python observe for this access. */
+    if (tp_store(&k->tp) < 0) return -1;
+    rc = observe_py(k, pc, line, cycle, l2_hit, from_l1_pf);
+    return rc < 0 || tp_load(&k->tp) < 0 ? -1 : 0;
+}
+
 /* Issue one temporal-prefetcher request (a plain line number). */
 static int issue_line(Kernel *k, int64_t line, int64_t trigger, double cycle)
 {
@@ -591,6 +1247,10 @@ static int issue_line(Kernel *k, int64_t line, int64_t trigger, double cycle)
     if (cm_incr(&k->issued_by_pc, trigger) < 0) {
         PyErr_NoMemory();
         return -1;
+    }
+    if (k->tp.loaded) { /* note_issued: Triangel's window counter */
+        k->tp.pfc[PF_ISSUED] += k->tp.kind != TP_TRIAGE;
+        return 0;
     }
     return call_ll_void(k->note_issued, trigger, line);
 }
@@ -628,6 +1288,10 @@ static inline int consume(Kernel *k, int src, int64_t trigger, int64_t line)
         if (cm_incr(&k->useful_by_pc, trigger) < 0) {
             PyErr_NoMemory();
             return -1;
+        }
+        if (k->tp.loaded) { /* note_useful: Triangel's window counter */
+            k->tp.pfc[PF_USEFUL] += k->tp.kind != TP_TRIAGE;
+            return 0;
         }
         return call_ll_void(k->note_useful, trigger, line);
     }
@@ -831,7 +1495,7 @@ static int demand(Kernel *k, int64_t pc, int64_t line, double cycle, double *lat
 /* Resize poll: ask the prefetcher, apply the LLC re-split here and the
  * Python side (table resize, hierarchy bookkeeping) through ``resize``,
  * then rebind the prefetcher callables. */
-static int poll_resize(Kernel *k)
+static int poll_resize_py(Kernel *k)
 {
     PyObject *cur = PyLong_FromLong(k->meta_ways);
     if (!cur) return -1;
@@ -867,6 +1531,15 @@ static int poll_resize(Kernel *k)
     return rc;
 }
 
+/* The poll hands the native step's counters to Python and re-fetches its
+ * state afterwards (the rebind rule). */
+static int poll_resize(Kernel *k)
+{
+    if (tp_store(&k->tp) < 0) return -1;
+    int rc = poll_resize_py(k);
+    return rc < 0 || tp_load(&k->tp) < 0 ? -1 : 0;
+}
+
 static void kernel_free(Kernel *k)
 {
     cache_free(&k->l1);
@@ -895,6 +1568,8 @@ static void kernel_free(Kernel *k)
     Py_XDECREF(k->note_useful);
     Py_XDECREF(k->note_issued);
     Py_XDECREF(k->l1_observe);
+    tp_release(&k->tp);
+    free(k->tp.out);
 }
 
 static int get_column(PyObject *obj, Py_buffer *view, Py_ssize_t n)
@@ -912,7 +1587,7 @@ static int get_column(PyObject *obj, Py_buffer *view, Py_ssize_t n)
 
 PyDoc_STRVAR(run_doc,
 "run(pcs, lines, gaps, warmup_records, resize_window, geometry, timing,\n"
-"    modes, fns, desired, resize, drain, access_info)\n"
+"    modes, fns, desired, resize, drain, access_info, (step, pf, tag_mask))\n"
 "--\n\n"
 "Drive every trace record through the hierarchy; see repro.sim.engine.");
 
@@ -928,13 +1603,13 @@ static PyObject *run(PyObject *self, PyObject *args)
     Kernel *k = &kern;
     memset(k, 0, sizeof(*k));
     if (!PyArg_ParseTuple(
-            args, "OOOnL(nininiiiidddddnnndLpin)(idi)(ppp)OOOOO", &pcs_o, &lines_o, &gaps_o,
+            args, "OOOnL(nininiiiidddddnnndLpin)(idi)(ppp)OOOOO(iOL)", &pcs_o, &lines_o, &gaps_o,
             &warmup, &resize_window, &l1_sets, &l1_assoc, &l2_sets, &l2_assoc, &l3_sets,
             &l3_assoc, &l3_data_ways, &meta_ways, &max_meta_ways, &l1_lat, &l2_lat, &l3_lat,
             &d_service, &d_access, &m_cap, &q_cap, &t_entries, &t_walk, &lines_per_page,
             &cross_page_ok, &s_degree, &s_cap, &issue_width, &hide, &mlp, &k->null_l1,
             &k->null_l2, &k->offchip, &fns, &k->desired, &k->resize, &k->drain,
-            &k->access_info))
+            &k->access_info, &k->tp.kind, &k->tp.pf, &k->tp.tag_mask))
         return NULL;
 
     Py_buffer pcs, lines, gaps;
@@ -991,7 +1666,7 @@ static PyObject *run(PyObject *self, PyObject *args)
         goto done;
     }
     k->s_idx.keys = k->s_pc;
-    if (bind(k, fns) < 0) goto done;
+    if (bind(k, fns) < 0 || tp_load(&k->tp) < 0) goto done;
     if (n && !issue_width) {
         PyErr_SetString(PyExc_ZeroDivisionError, "division by zero");
         goto done;
@@ -1031,6 +1706,7 @@ static PyObject *run(PyObject *self, PyObject *args)
         }
     }
 
+    if (tp_store(&k->tp) < 0) goto done;
     PyObject *miss_by_pc = cm_to_dict(&k->miss_by_pc);
     PyObject *issued_by_pc = cm_to_dict(&k->issued_by_pc);
     PyObject *useful_by_pc = cm_to_dict(&k->useful_by_pc);

@@ -30,6 +30,8 @@ dispatches each trained access to the L2 prefetcher.  Prefetchers that
 expose ``observe_fast(pc, line) -> [lines]`` (Prophet's packed fused
 pass) skip the per-access ``L2AccessInfo``/``PrefetchRequest`` boxing
 entirely; everything else goes through the generic ``observe`` path.
+On the native rung, Triage, Triangel and Prophet skip the Python call
+altogether: the kernel runs their observe itself (:func:`_native_step`).
 
 Hierarchy dispatch: the optimized loop binds the hierarchy's fused
 demand kernel (``Hierarchy._demand_kernel``) directly and **re-fetches it
@@ -49,6 +51,7 @@ identical ``SimResult``s.
 
 from __future__ import annotations
 
+import inspect
 from array import array
 from collections import defaultdict
 from itertools import islice
@@ -57,10 +60,15 @@ from typing import Dict, Optional
 from .. import faults as _faults
 from ..cache.hierarchy import Hierarchy
 from ..cache.reference import HierarchyReference
+from ..core.mvb import MultiPathVictimBuffer
+from ..core.prophet import ProphetPrefetcher
 from ..memory.tlb import LINES_PER_PAGE
 from ..prefetchers.base import L1Prefetcher, L2AccessInfo, L2Prefetcher, NullL1Prefetcher
 from ..prefetchers.ipcp import IPCPPrefetcher
+from ..prefetchers.markov import TAG_MASK, MetadataTable
 from ..prefetchers.stride import StridePrefetcher
+from ..prefetchers.triage import TriagePrefetcher
+from ..prefetchers.triangel import TriangelPrefetcher
 from ..workloads.base import TRACE_DTYPE, Trace
 from . import native
 from .config import SystemConfig
@@ -254,6 +262,31 @@ def _trace_columns(trace: Trace):
     return [array("q", col) for col in (trace.pcs, trace.lines, trace.gaps)]
 
 
+#: Exact prefetcher type -> (native step code, the class's own observe).
+_NATIVE_STEPS = {
+    TriagePrefetcher: (1, TriagePrefetcher.observe),
+    TriangelPrefetcher: (2, TriangelPrefetcher.observe),
+    ProphetPrefetcher: (3, ProphetPrefetcher.observe),
+}
+
+
+def _native_step(pf: L2Prefetcher) -> int:
+    """The kernel's step code for ``pf``, or 0 for its Python ``observe``.
+
+    Only the exact classes qualify, with their own (possibly wrapped)
+    ``observe`` and the packed SRRIP table and MVB.  The class's
+    ``observe`` decides, never the instance's ``observe``/``observe_fast``,
+    so instrumentation wrappers cannot change the path a run takes.
+    """
+    code, observe = _NATIVE_STEPS.get(type(pf), (0, None))
+    table = getattr(pf, "table", None)
+    if (not code or inspect.unwrap(type(pf).observe) is not observe
+            or type(table) is not MetadataTable or table._srrip_rrpv is None
+            or type(getattr(pf, "mvb", None)) not in (type(None), MultiPathVictimBuffer)):
+        return 0
+    return code
+
+
 def _run_native(
     kernel,
     trace: Trace,
@@ -302,7 +335,7 @@ def _run_native(
         (timing.issue_width, timing.hide_cycles, timing.mlp),
         (hierarchy._null_l1_pf, hierarchy._null_l2_pf, hierarchy._offchip_metadata),
         callables(), pf.desired_metadata_ways, resize, pf.drain_metadata_traffic,
-        L2AccessInfo,
+        L2AccessInfo, (_native_step(pf), pf, TAG_MASK),
     )
     d, l2pf, l1stats = hierarchy.dram.stats, hierarchy.l2_pf_stats, hierarchy.l1_pf_stats
     d.reads, d.writes, d.metadata_reads, d.metadata_writes = reads, writes, md_reads, md_writes

@@ -7,19 +7,21 @@ simulated with its cluster's weight.  Reported metrics are weighted
 averages over checkpoints (Section 5.1).
 
 For traces, the natural BBV analogue is the per-interval *PC histogram*.
-We cluster with a small deterministic k-means (numpy) and return
-representative intervals plus weights; :func:`weighted_aggregate` combines
-per-checkpoint metrics the way the paper aggregates per-benchmark results.
+We cluster with a small deterministic k-means (numpy, imported on first
+clustering so the module loads without it) and return representative
+intervals plus weights; :func:`weighted_aggregate` combines per-checkpoint
+metrics the way the paper aggregates per-benchmark results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from .base import Trace
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 
 @dataclass
@@ -34,8 +36,10 @@ class Checkpoint:
         return trace.interval(self.start, self.stop)
 
 
-def _bbvs(trace: Trace, interval: int) -> np.ndarray:
+def _bbvs(trace: Trace, interval: int) -> ndarray:
     """Per-interval PC-histogram vectors, L1-normalized."""
+    import numpy as np
+
     pcs = trace.pcs
     unique = sorted(set(pcs))
     col = {pc: i for i, pc in enumerate(unique)}
@@ -49,8 +53,10 @@ def _bbvs(trace: Trace, interval: int) -> np.ndarray:
     return mat / sums
 
 
-def _kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
+def _kmeans(data: ndarray, k: int, seed: int, iters: int = 25) -> ndarray:
     """Deterministic Lloyd's k-means; returns cluster labels."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = data.shape[0]
     centers = data[rng.choice(n, size=k, replace=False)]
@@ -80,6 +86,8 @@ def select_checkpoints(
     n = len(trace)
     if n < 2 * interval:
         return [Checkpoint(0, n, 1.0)]
+    import numpy as np
+
     data = _bbvs(trace, interval)
     n_intervals = data.shape[0]
     k = min(max_clusters, n_intervals)

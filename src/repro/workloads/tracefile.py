@@ -88,11 +88,11 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace` (lossless round-trip)."""
-    import numpy as np
-
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
+    import numpy as np
+
     with np.load(path) as data:
         try:
             meta = json.loads(bytes(data["meta"]).decode())

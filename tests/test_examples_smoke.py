@@ -27,6 +27,9 @@ EXAMPLES = {
     "simpoint_checkpoints.py": {"n_records": 15_000},
 }
 
+#: Examples that write and read ``.npz`` trace files, which need numpy.
+NEEDS_NUMPY = {"trace_analysis.py"}
+
 
 def load_example(name: str):
     path = EXAMPLES_DIR / name
@@ -44,7 +47,11 @@ def test_every_example_is_covered():
     )
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.requires_numpy) if name in NEEDS_NUMPY
+    else name
+    for name in sorted(EXAMPLES)
+])
 def test_example_runs(name, capsys):
     module = load_example(name)
     module.main(**EXAMPLES[name])

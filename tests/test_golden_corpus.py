@@ -2,11 +2,13 @@
 
 ``tests/golden/fig10.json`` holds the sha256 of each ``SimResult``'s
 canonical JSON for the seven Fig. 10 personas at a small record count,
-under every scheme the figure runs (baseline, RPG2, Triangel, Prophet).
-The digests were generated with the flat ``run_simulation`` loop.  Both
-engine rungs must reproduce every digest, which mechanizes invariant 1:
-a change to simulation semantics without an ``ENGINE_VERSION`` bump
-fails here.
+under every scheme the figure runs (baseline, RPG2, Triangel, Prophet),
+plus each persona's profiling-pass ``CounterSet`` (Prophet's Step 1: it
+carries ``insert_counts`` and ``peak_entries``, which no ``SimResult``
+digest pins directly).  The digests were generated with the flat
+``run_simulation`` loop.  Both engine rungs must reproduce every digest,
+which mechanizes invariant 1: a change to simulation semantics without
+an ``ENGINE_VERSION`` bump fails here.
 
 Regenerate only together with an ``ENGINE_VERSION`` bump::
 
@@ -20,10 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.profiler import profile
 from repro.experiments.common import evaluate_suite, spec_traces
 from repro.runner import ExecutionPolicy
 from repro.runner.jobs import ENGINE_VERSION
 from repro.sim import native
+from repro.sim.config import default_config
 
 GOLDEN = Path(__file__).with_name("golden") / "fig10.json"
 RECORDS = 4000
@@ -35,14 +39,20 @@ def canonical_digest(result) -> str:
 
 
 def corpus_digests() -> dict:
+    traces = spec_traces(RECORDS)
     suite = evaluate_suite(
-        spec_traces(RECORDS), runner=ExecutionPolicy(pool="inline").make_runner()
+        traces, runner=ExecutionPolicy(pool="inline").make_runner()
     )
-    return {
+    digests = {
         f"{label}/{scheme}": canonical_digest(result)
         for label, per_scheme in sorted(suite.by_workload.items())
         for scheme, result in sorted(per_scheme.items())
     }
+    digests.update(
+        (f"{trace.label}/profiling", canonical_digest(profile(trace, default_config())))
+        for trace in traces
+    )
+    return digests
 
 
 @pytest.mark.parametrize("rung", ["native", "flat"])

@@ -1,7 +1,11 @@
 """Additional SimPoint tests: clustering behaviour and checkpoint runs."""
 
-import numpy as np
 import pytest
+
+try:
+    import numpy as np
+except ImportError:  # every test here is requires_numpy (skipped without it)
+    np = None
 
 from repro.sim.config import default_config
 from repro.sim.engine import run_simulation
@@ -12,6 +16,8 @@ from repro.workloads.simpoint import (
     select_checkpoints,
 )
 from repro.workloads.spec import make_spec_trace
+
+pytestmark = pytest.mark.requires_numpy
 
 
 class TestBBVs:

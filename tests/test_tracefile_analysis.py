@@ -24,6 +24,7 @@ from repro.workloads.tracefile import load_trace, save_trace
 # tracefile round-trips
 # ----------------------------------------------------------------------
 class TestTraceFile:
+    @pytest.mark.requires_numpy
     def test_round_trip_exact(self, tmp_path):
         trace = make_spec_trace("mcf", "inp", 3000)
         path = save_trace(trace, tmp_path / "mcf.npz")
@@ -35,6 +36,7 @@ class TestTraceFile:
         assert loaded.lines == trace.lines
         assert loaded.gaps == trace.gaps
 
+    @pytest.mark.requires_numpy
     def test_suffix_added(self, tmp_path):
         trace = make_spec_trace("mcf", "inp", 500)
         path = save_trace(trace, tmp_path / "noext")
@@ -45,6 +47,7 @@ class TestTraceFile:
         with pytest.raises(FileNotFoundError):
             load_trace(tmp_path / "absent.npz")
 
+    @pytest.mark.requires_numpy
     def test_non_trace_npz_rejected(self, tmp_path):
         import numpy as np
 
@@ -53,6 +56,7 @@ class TestTraceFile:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    @pytest.mark.requires_numpy
     def test_loaded_trace_simulates_identically(self, tmp_path):
         from repro.sim.config import default_config
         from repro.sim.engine import run_simulation
@@ -64,6 +68,7 @@ class TestTraceFile:
         assert a.cycles == b.cycles
         assert a.dram_reads == b.dram_reads
 
+    @pytest.mark.requires_numpy
     @given(
         pcs=st.lists(st.integers(0, 50), min_size=1, max_size=40),
     )

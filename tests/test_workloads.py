@@ -223,6 +223,7 @@ class TestSimPoint:
         assert len(cps) == 1
         assert cps[0].weight == 1.0
 
+    @pytest.mark.requires_numpy
     def test_weights_sum_to_one(self):
         t = make_spec_trace("gcc", "166", 60_000)
         cps = select_checkpoints(t, interval=5_000, max_clusters=4)
