@@ -27,6 +27,9 @@
  * writes: no line is ever dirty, so there are no dirty bits and no
  * DRAM writebacks -- DRAM writes come only from off-chip metadata.
  * Cache statistics that never reach a ``SimResult`` are not kept.
+ *
+ * The module also builds the CRONO CSR graphs (``csr_graph``, at the end
+ * of this file), replaying CPython's random draws bit for bit.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1728,13 +1731,203 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* CRONO graph builder: ``CSRGraph.random``'s loop on CPython's own    */
+/* Mersenne Twister.  The state comes from ``random.Random(seed)       */
+/* .getstate()`` and every draw below replays the interpreter's code:  */
+/* ``genrand_uint32``, ``random()`` (genrand_res53) and ``randrange``  */
+/* through ``_randbelow_with_getrandbits`` with its rejection loop     */
+/* (bounds below 2**31 only need getrandbits' one-word path).          */
+/* ------------------------------------------------------------------ */
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} MT;
+
+static void mt_refill(MT *r)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y, *mt = r->mt;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    r->index = 0;
+}
+
+static inline uint32_t mt_next(MT *r)
+{
+    if (r->index >= MT_N) mt_refill(r);
+    uint32_t y = r->mt[r->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static inline double mt_random(MT *r)
+{
+    uint32_t a = mt_next(r) >> 5, b = mt_next(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* ``randrange(n)`` for 0 < n < 2**31: draws of ``n.bit_length()`` bits
+ * until one is below ``n``. */
+typedef struct {
+    uint32_t n;
+    int shift; /* 32 - n.bit_length() */
+} Below;
+
+static Below below(int32_t n)
+{
+    Below b = {(uint32_t)n, 32};
+    while (b.shift > 1 && (b.n >> (32 - b.shift))) b.shift--;
+    return b;
+}
+
+static inline int32_t mt_below(MT *r, Below b)
+{
+    uint32_t x;
+    do x = mt_next(r) >> b.shift;
+    while (x >= b.n);
+    return (int32_t)x;
+}
+
+/* Fill ``r`` from a ``getstate()[1]`` tuple: 624 words plus the index. */
+static int mt_load(MT *r, PyObject *state)
+{
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != MT_N + 1) {
+        PyErr_SetString(PyExc_ValueError, "expected random.Random().getstate()[1]");
+        return -1;
+    }
+    for (int i = 0; i < MT_N; i++) {
+        unsigned long w = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, i));
+        if (w == (unsigned long)-1 && PyErr_Occurred()) return -1;
+        r->mt[i] = (uint32_t)w;
+    }
+    long index = PyLong_AsLong(PyTuple_GET_ITEM(state, MT_N));
+    if (index == -1 && PyErr_Occurred()) return -1;
+    if (index < 0 || index > MT_N) {
+        PyErr_SetString(PyExc_ValueError, "invalid Mersenne Twister state index");
+        return -1;
+    }
+    r->index = (int)index;
+    return 0;
+}
+
+/* A new ``array.array(code)`` of exactly ``n`` items copied from ``src``
+ * (``array('i', [0]) * n`` allocates no spare capacity). */
+static PyObject *array_of(const char *code, const void *src, Py_ssize_t n, size_t size)
+{
+    PyObject *mod = PyImport_ImportModule("array"), *one = NULL, *arr = NULL;
+    if (mod) one = PyObject_CallMethod(mod, "array", "s(i)", code, 0);
+    if (one) arr = PySequence_Repeat(one, n);
+    Py_XDECREF(mod);
+    Py_XDECREF(one);
+    Py_buffer view;
+    if (!arr || PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(arr);
+        return NULL;
+    }
+    if ((size_t)view.len == n * size) {
+        if (n) memcpy(view.buf, src, n * size);
+    } else {
+        PyErr_SetString(PyExc_SystemError, "unexpected array item size");
+        Py_CLEAR(arr);
+    }
+    PyBuffer_Release(&view);
+    return arr;
+}
+
+PyDoc_STRVAR(csr_graph_doc,
+"csr_graph(mt_state, n_nodes, avg_degree) -> (offsets, neighbors, weights)\n"
+"--\n\n"
+"CSRGraph.random's construction in C; see repro.workloads.crono.");
+
+static PyObject *csr_graph(PyObject *self, PyObject *args)
+{
+    PyObject *state, *result = NULL, *offsets = NULL, *nbrs = NULL, *wgts = NULL;
+    Py_ssize_t n_nodes;
+    long long avg;
+    MT rng;
+    if (!PyArg_ParseTuple(args, "OnL", &state, &n_nodes, &avg) || mt_load(&rng, state) < 0)
+        return NULL;
+    if (n_nodes < 0 || n_nodes > INT32_MAX || avg < 0 || avg > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "n_nodes and avg_degree must lie in [0, 2**31)");
+        return NULL;
+    }
+    int64_t *off = malloc((n_nodes + 1) * sizeof(int64_t));
+    size_t cap = 1024, len = 0;
+    int32_t *nbr = malloc(cap * sizeof(int32_t)), *wgt = malloc(cap * sizeof(int32_t));
+    if (!off || !nbr || !wgt) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int32_t n = (int32_t)n_nodes, near = n / 16 > 2 ? n / 16 : 2;
+    Below any = below(n), step = below(near - 1), weight = below(15);
+    off[0] = 0;
+    for (int32_t v = 0; v < n; v++) {
+        int64_t degree;
+        if (mt_random(&rng) < 0.05) {
+            degree = avg * 4;
+        } else {
+            degree = (int64_t)(avg * (0.5 + mt_random(&rng)));
+            if (degree < 1) degree = 1;
+        }
+        if (len + degree > cap) {
+            while (len + degree > cap) cap *= 2;
+            int32_t *grown = realloc(nbr, cap * sizeof(int32_t));
+            if (grown) nbr = grown;
+            grown = grown ? realloc(wgt, cap * sizeof(int32_t)) : NULL;
+            if (!grown) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            wgt = grown;
+        }
+        for (int64_t d = 0; d < degree; d++, len++) {
+            if (mt_random(&rng) < 0.5)
+                nbr[len] = (int32_t)(((int64_t)v + 1 + mt_below(&rng, step)) % n);
+            else
+                nbr[len] = mt_below(&rng, any);
+            wgt[len] = 1 + mt_below(&rng, weight);
+        }
+        off[v + 1] = (int64_t)len;
+    }
+    if ((offsets = array_of("q", off, n_nodes + 1, sizeof(int64_t)))
+        && (nbrs = array_of("i", nbr, len, sizeof(int32_t)))
+        && (wgts = array_of("i", wgt, len, sizeof(int32_t))))
+        result = PyTuple_Pack(3, offsets, nbrs, wgts);
+done:
+    free(off);
+    free(nbr);
+    free(wgt);
+    Py_XDECREF(offsets);
+    Py_XDECREF(nbrs);
+    Py_XDECREF(wgts);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"run", run, METH_VARARGS, run_doc},
+    {"csr_graph", csr_graph, METH_VARARGS, csr_graph_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_kernel", "Native demand kernel (see repro.sim.native).", -1,
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "Native demand kernel and CRONO graph builder (see repro.sim.native).", -1,
     methods, NULL, NULL, NULL, NULL,
 };
 

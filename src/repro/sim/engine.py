@@ -69,7 +69,7 @@ from ..prefetchers.markov import TAG_MASK, MetadataTable
 from ..prefetchers.stride import StridePrefetcher
 from ..prefetchers.triage import TriagePrefetcher
 from ..prefetchers.triangel import TriangelPrefetcher
-from ..workloads.base import TRACE_DTYPE, Trace
+from ..workloads.base import Trace
 from . import native
 from .config import SystemConfig
 from .cpu import TimingModel
@@ -255,10 +255,11 @@ def run_simulation(
 
 
 def _trace_columns(trace: Trace):
-    """The pc/line/gap columns as int64 buffers the native kernel reads."""
+    """The pc/line/gap columns as int64 buffers the native kernel reads
+    (views of int64 records, widened copies of compact ones)."""
     rec = trace.records_array
-    if rec is not None and rec.dtype == TRACE_DTYPE and rec.dtype.isnative:
-        return [rec[name] for name in ("pc", "line", "gap")]
+    if rec is not None:
+        return [rec[name].astype("=i8", copy=False) for name in ("pc", "line", "gap")]
     return [array("q", col) for col in (trace.pcs, trace.lines, trace.gaps)]
 
 

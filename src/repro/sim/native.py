@@ -1,4 +1,10 @@
-"""Build-on-first-use loader for the native demand kernel (``_kernel.c``).
+"""Build-on-first-use loader for the native module (``_kernel.c``).
+
+The module has two entry points: ``run``, the demand kernel behind
+``simulate`` (see :mod:`repro.sim.engine`), and ``csr_graph``, the CRONO
+graph builder behind ``CSRGraph.random`` (see
+:mod:`repro.workloads.crono`).  Each has a pure-Python fallback that is
+also its oracle.
 
 The first :func:`load` in a process compiles ``_kernel.c`` with the
 interpreter's own ``sysconfig`` compiler and include flags (``CC``
@@ -7,8 +13,8 @@ overrides the compiler, as with setuptools) into this package's
 imports it.  The artifact is published by tmp file + ``os.replace``, so
 processes or threads racing on a fresh checkout never load a half-written
 file and leave exactly one artifact behind.  Any failure is logged once
-and :func:`load` returns ``None``: ``simulate`` then runs the pure-Python
-loop, with identical results.
+and :func:`load` returns ``None``: ``simulate`` and the graph builder
+then run their pure-Python loops, with identical results.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def artifact_name() -> str:
 
 
 def build(directory: Path) -> Path:
-    """Compile the kernel into ``directory`` unless it is already there."""
+    """Compile the module into ``directory`` unless it is already there."""
     path = directory / artifact_name()
     if path.exists():
         return path
@@ -81,7 +87,7 @@ def import_artifact(path: Path):
 
 
 def load():
-    """The native kernel module, or ``None`` when it cannot be built."""
+    """The native module, or ``None`` when it cannot be built."""
     global _tried, _module
     # Lock-free once settled, so a process forked from a thread-heavy
     # parent (serve + a local pool) never inherits the lock held.
@@ -91,7 +97,7 @@ def load():
                 try:
                     _module = import_artifact(build(CACHE_DIR))
                 except Exception as exc:  # noqa: BLE001 - any failure falls back
-                    log.warning("native demand kernel unavailable (%s); simulate() "
-                                "uses the pure-Python engine", exc)
+                    log.warning("native kernel unavailable (%s); simulate() and the "
+                                "CRONO graph builder use pure Python", exc)
                 _tried = True
     return _module

@@ -30,12 +30,28 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._accel import numpy_capability
 
-#: Structured dtype of one trace record; ``None`` when numpy is absent
-#: (the pure-Python list fallback is used instead).
-TRACE_DTYPE = None
+#: Structured dtypes of one trace record: the packed int32 layout a trace
+#: uses when every pc, line and gap fits, else the int64 one.  ``None``
+#: when numpy is absent (the pure-Python list fallback is used instead).
+TRACE_DTYPE = COMPACT_TRACE_DTYPE = None
 _np = numpy_capability().module
 if _np is not None:
     TRACE_DTYPE = _np.dtype([("pc", "<i8"), ("line", "<i8"), ("gap", "<i8")])
+    COMPACT_TRACE_DTYPE = _np.dtype([("pc", "<i4"), ("line", "<i4"), ("gap", "<i4")])
+
+
+def record_array(pcs, lines, gaps):
+    """The pc/line/gap columns as one structured array: packed int32
+    (:data:`COMPACT_TRACE_DTYPE`) when every value fits, else
+    :data:`TRACE_DTYPE`.  Requires numpy."""
+    columns = [_np.asarray(col, dtype=_np.int64) for col in (pcs, lines, gaps)]
+    info = _np.iinfo(_np.int32)
+    fits = all(not len(col) or info.min <= col.min() and col.max() <= info.max
+               for col in columns)
+    rec = _np.empty(len(columns[0]), dtype=COMPACT_TRACE_DTYPE if fits else TRACE_DTYPE)
+    for name, col in zip(("pc", "line", "gap"), columns):
+        rec[name] = col
+    return rec
 
 
 def _shuffled_offsets(n: int, spread: int, rng: random.Random) -> List[int]:
@@ -51,9 +67,11 @@ def _shuffled_offsets(n: int, spread: int, rng: random.Random) -> List[int]:
 class Trace:
     """An immutable memory-access trace plus bookkeeping.
 
-    Records are stored as one numpy structured array (:data:`TRACE_DTYPE`)
-    when numpy is available, falling back to three parallel Python lists
-    otherwise.  The storage backend is an implementation detail:
+    Records are stored as one numpy structured array when numpy is
+    available — packed int32 (:data:`COMPACT_TRACE_DTYPE`) when every
+    value fits, else :data:`TRACE_DTYPE` — falling back to three parallel
+    Python lists otherwise.  The storage backend is an implementation
+    detail:
 
     - ``trace.pcs`` / ``trace.lines`` / ``trace.gaps`` always return
       Python-int lists, so every scalar consumer — the flat engine's
@@ -89,12 +107,8 @@ class Trace:
         self._pcs: Optional[List[int]] = None
         self._lines: Optional[List[int]] = None
         self._gaps: Optional[List[int]] = None
-        if TRACE_DTYPE is not None:
-            rec = _np.empty(len(pcs), dtype=TRACE_DTYPE)
-            rec["pc"] = _np.asarray(pcs, dtype=_np.int64)
-            rec["line"] = _np.asarray(lines, dtype=_np.int64)
-            rec["gap"] = _np.asarray(gaps, dtype=_np.int64)
-            self._rec = rec
+        if _np is not None:
+            self._rec = record_array(pcs, lines, gaps)
         else:  # pragma: no cover - exercised by the no-numpy CI leg
             self._rec = None
             self._pcs = list(pcs)
@@ -105,7 +119,8 @@ class Trace:
     def from_records(
         cls, name: str, input_name: str, records, mlp: int = 4
     ) -> "Trace":
-        """Wrap an existing :data:`TRACE_DTYPE` structured array (no copy)."""
+        """Wrap an existing :data:`TRACE_DTYPE` or
+        :data:`COMPACT_TRACE_DTYPE` structured array (no copy)."""
         trace = cls.__new__(cls)
         trace.name = name
         trace.input_name = input_name
@@ -146,7 +161,7 @@ class Trace:
     def instructions(self) -> int:
         """Total instructions: one memory op per record plus its gap."""
         if self._rec is not None:
-            return len(self._rec) + int(self._rec["gap"].sum())
+            return len(self._rec) + int(self._rec["gap"].sum(dtype=_np.int64))
         return len(self._pcs) + sum(self._gaps)
 
     def interval(self, start: int, stop: int) -> "Trace":

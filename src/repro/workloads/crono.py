@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import Trace
 
@@ -53,12 +53,17 @@ _FLOATS_PER_LINE = 1
 
 @dataclass
 class CSRGraph:
-    """Compressed-sparse-row graph with deterministic construction."""
+    """Compressed-sparse-row graph with deterministic construction.
+
+    The native builder returns exact-size ``array`` buffers (int64
+    ``offsets``, int32 ``neighbors``/``weights``); the Python loop
+    returns lists with the same values.
+    """
 
     n_nodes: int
-    offsets: List[int]
-    neighbors: List[int]
-    weights: List[int]
+    offsets: Sequence[int]
+    neighbors: Sequence[int]
+    weights: Sequence[int]
 
     @property
     def n_edges(self) -> int:
@@ -68,6 +73,14 @@ class CSRGraph:
     def random(cls, n_nodes: int, avg_degree: int, seed: int) -> "CSRGraph":
         """Power-law-ish random graph: a few hubs, many low-degree nodes."""
         rng = random.Random(seed)
+        if native_graph_ok(n_nodes, avg_degree):
+            from ..sim import native
+
+            kernel = native.load()
+            if kernel is not None:
+                # Same draws as the loop below, replayed in C from the
+                # seeded Mersenne Twister state.
+                return cls(n_nodes, *kernel.csr_graph(rng.getstate()[1], n_nodes, avg_degree))
         offsets = [0]
         neighbors: List[int] = []
         weights: List[int] = []
@@ -87,6 +100,12 @@ class CSRGraph:
                 weights.append(rng.randrange(1, 16))
             offsets.append(len(neighbors))
         return cls(n_nodes, offsets, neighbors, weights)
+
+
+def native_graph_ok(n_nodes: int, avg_degree: int) -> bool:
+    """Whether the native builder takes this graph: node ids and degrees
+    must fit its int32 buffers; anything else runs the Python loop."""
+    return 0 <= n_nodes < 2**31 and 0 <= avg_degree < 2**31
 
 
 class _TraceEmitter:
@@ -317,9 +336,9 @@ def make_crono_trace(
     graphs under a short trace would never repeat an access).  The edge
     and vertex arrays still exceed the LLC's data capacity, so the scans
     and vertex-data accesses genuinely miss.  Pass ``scale`` to override
-    (fraction of the configured node count).  Degrees above 16 are capped
-    — extreme degrees only lengthen the quasi-sequential neighbour scans
-    without changing their structure.
+    (fraction of the configured node count).  The average degree is
+    clamped to 3..6 — extreme degrees only lengthen the quasi-sequential
+    neighbour scans without changing their structure.
     """
     kernel, nodes, param = parse_crono_name(name)
     if seed is None:

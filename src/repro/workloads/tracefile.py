@@ -52,9 +52,9 @@ _K6_COMMANDS = {K6_READ, K6_WRITE, "BOFF"}
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     """Write ``trace`` to ``path`` (``.npz``); returns the resolved path.
 
-    Arrays are stored at 64-bit width — line addresses in the synthetic
-    address space exceed 32 bits — and compressed; a typical 200k-record
-    persona lands well under a megabyte.
+    Arrays are stored at 64-bit width whatever the in-memory record
+    layout — imported line addresses can exceed 32 bits — and compressed;
+    a typical 200k-record persona lands well under a megabyte.
     """
     import numpy as np
 
@@ -71,7 +71,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     if rec is not None:
         # Record-array-backed trace: save the columns directly, no
         # per-record boxing.
-        pcs, lines, gaps = rec["pc"], rec["line"], rec["gap"]
+        pcs, lines, gaps = (rec[name].astype(np.int64) for name in ("pc", "line", "gap"))
     else:
         pcs = np.asarray(trace.pcs, dtype=np.int64)
         lines = np.asarray(trace.lines, dtype=np.int64)
@@ -106,20 +106,17 @@ def load_trace(path: Union[str, Path]) -> Trace:
         raise ValueError(
             f"{path}: trace format version {version!r}, expected {FORMAT_VERSION}"
         )
-    from .base import TRACE_DTYPE
+    from .base import TRACE_DTYPE, record_array
 
     if TRACE_DTYPE is not None:
         # Build the structured record array directly from the stored
         # columns — the loaded trace is array-backed with no per-record
-        # boxing.
+        # boxing, in the compact layout when its values fit.
         if not (len(pcs) == len(lines) == len(gaps)):
             raise ValueError(f"{path}: pcs/lines/gaps lengths differ")
-        rec = np.empty(len(pcs), dtype=TRACE_DTYPE)
-        rec["pc"] = pcs
-        rec["line"] = lines
-        rec["gap"] = gaps
         return Trace.from_records(
-            meta["name"], meta["input_name"], rec, mlp=int(meta["mlp"])
+            meta["name"], meta["input_name"], record_array(pcs, lines, gaps),
+            mlp=int(meta["mlp"]),
         )
     return Trace(
         name=meta["name"],
