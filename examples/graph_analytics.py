@@ -16,10 +16,10 @@ import sys
 from repro.core.pipeline import OptimizedBinary
 from repro.prefetchers.rpg2 import identify_kernels
 from repro.prefetchers.triangel import TriangelPrefetcher
+from repro.runner.schemes import SCHEMES
 from repro.sim.config import default_config
 from repro.sim.engine import run_simulation
 from repro.workloads.crono import make_crono_trace
-from repro.experiments.common import make_rpg2
 
 
 def main(n_records: int = 200_000) -> None:
@@ -33,7 +33,7 @@ def main(n_records: int = 200_000) -> None:
     kernels = identify_kernels(trace.pcs, trace.lines, baseline.miss_by_pc)
     print(f"RPG2 qualified {len(kernels)} prefetch kernel(s): "
           + ", ".join(f"pc={k.pc:#x} stride={k.stride}" for k in kernels))
-    rpg2 = make_rpg2(trace, config, baseline)
+    rpg2 = SCHEMES["rpg2"].prefetcher(trace, config, {"base": baseline}, {})
     if rpg2.kernels:
         distance = next(iter(rpg2.kernels.values())).distance
         print(f"binary-search tuned distance: {distance}")

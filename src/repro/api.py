@@ -9,7 +9,7 @@ shape and execution, and returns a structured result::
         "fig10",
         records=50_000,
         workloads=["mcf_inp", "omnetpp_inp"],   # any catalog labels
-        schemes=["triangel", "prophet"],        # named scheme factories
+        schemes=["triangel", "prophet"],        # named schemes
         overrides={"l3.size_kb": 4096},         # dotted-path config edits
         execution=api.ExecutionPolicy(          # how/where jobs execute:
             pool="local",                       #   local | inline |
@@ -28,15 +28,13 @@ shape and execution, and returns a structured result::
 — installs it for the duration of the experiment, restores the previous
 runner afterwards, and releases the pool.  No module-level
 ``set_runner`` choreography.  The CLI is a thin client of exactly this
-function.  The flat ``jobs=``/``cache_dir=`` kwargs from before the
-policy object still work but are deprecated.
+function.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -200,11 +198,6 @@ def workload_sources():
     return list(all_sources().values())
 
 
-#: Sentinel distinguishing "not passed" from explicit values for the
-#: deprecated flat execution kwargs.
-_UNSET: Any = object()
-
-
 def run(
     name: str,
     *,
@@ -216,15 +209,13 @@ def run(
     execution: Optional[Union[ExecutionPolicy, Dict[str, Any]]] = None,
     runner: Optional[Runner] = None,
     progress: Optional[Callable] = None,
-    jobs: int = _UNSET,
-    cache_dir: Any = _UNSET,
 ) -> ExperimentResult:
     """Run one registered experiment and return its structured result.
 
     - ``records`` overrides the experiment's default trace length
       (rejected for static experiments such as ``storage``);
     - ``workloads``/``schemes`` narrow the scenario to a subset (catalog
-      labels / named scheme factories) where the experiment supports it;
+      labels / named schemes) where the experiment supports it;
     - ``overrides`` are dotted-path config overrides
       (``{"l3.size_kb": 2048}``) applied on top of the experiment's base
       config; ``config`` replaces that base config outright;
@@ -239,31 +230,10 @@ def run(
     previously active runner is restored afterwards, and a runner this
     call built (from ``execution``) is closed — its pool released —
     before returning.
-
-    .. deprecated::
-        The flat ``jobs=``/``cache_dir=`` kwargs; use
-        ``execution=ExecutionPolicy(jobs=..., cache_dir=...)``.
     """
     exp = get_experiment(name)
     overrides = dict(overrides or {})
     policy = coerce_policy(execution)
-
-    if jobs is not _UNSET or cache_dir is not _UNSET:
-        if policy is not None:
-            raise ValueError(
-                "pass either execution=ExecutionPolicy(...) or the "
-                "deprecated flat jobs=/cache_dir= kwargs, not both"
-            )
-        warnings.warn(
-            "api.run(jobs=..., cache_dir=...) is deprecated; pass "
-            "execution=ExecutionPolicy(jobs=..., cache_dir=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        policy = ExecutionPolicy(
-            jobs=jobs if jobs is not _UNSET else 1,
-            cache_dir=cache_dir if cache_dir is not _UNSET else None,
-        )
     if policy is not None and runner is not None:
         raise ValueError("pass either execution= or runner=, not both")
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from ..runner import SimJob, TraceRef, get_runner
 from ..sim.config import SystemConfig, default_config
 from ..sim.results import format_table, geomean
-from .common import spec_traces
+from .common import spec_traces, triage4_params
 from .registry import ExperimentRequest, register_experiment
 
 DEGREES = (1, 2, 4, 8)
@@ -49,14 +49,9 @@ def sweep(
         jobs.append(SimJob("baseline", ref, config, label="baseline"))
         slots.append((trace.label, "baseline"))
         for degree in degrees:
-            params = (
-                ("degree", degree),
-                ("replacement", "srrip"),
-                ("initial_ways", config.l3.assoc // 2),
-                ("resize_enabled", False),
-            )
             jobs.append(SimJob(
-                "triage", ref, config, params=params, label=f"triage{degree}"
+                "triage", ref, config, params=triage4_params(config, degree),
+                label=f"triage{degree}",
             ))
             slots.append((trace.label, degree))
     by_slot = dict(zip(slots, runner.run(jobs)))

@@ -22,56 +22,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..prefetchers.offchip import (
-    DominoPrefetcher,
-    MISBPrefetcher,
-    STMSPrefetcher,
-)
 from ..sim.config import SystemConfig
 from ..sim.results import format_table
 from ..workloads.spec import spec_suite
 from .common import (
+    NAMED_SCHEMES,
     SuiteResults,
     evaluate_suite,
-    make_prophet,
-    make_triangel,
-    register_scheme,
     spec_labels,
     suite_request,
 )
 from .registry import ExperimentRequest, register_experiment
 
-
-def make_stms(trace, config, base):
-    return STMSPrefetcher(degree=4)
-
-
-make_stms.runner_scheme = "stms"
-register_scheme("stms", make_stms)
-
-
-def make_domino(trace, config, base):
-    return DominoPrefetcher(degree=4)
-
-
-make_domino.runner_scheme = "domino"
-register_scheme("domino", make_domino)
-
-
-def make_misb(trace, config, base):
-    return MISBPrefetcher(degree=4)
-
-
-make_misb.runner_scheme = "misb"
-register_scheme("misb", make_misb)
-
-
 SCHEMES = {
-    "stms": make_stms,
-    "domino": make_domino,
-    "misb": make_misb,
-    "triangel": make_triangel,
-    "prophet": make_prophet(),
+    name: NAMED_SCHEMES[name]
+    for name in ("stms", "domino", "misb", "triangel", "prophet")
 }
 
 

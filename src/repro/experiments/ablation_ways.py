@@ -24,7 +24,7 @@ from typing import Dict, Optional
 from ..runner import SimJob, TraceRef, get_runner
 from ..sim.config import SystemConfig, default_config
 from ..sim.results import format_table, geomean
-from .common import spec_traces
+from .common import spec_traces, triage4_params
 from .registry import ExperimentRequest, register_experiment
 
 WAY_CHOICES = (0, 2, 4, 8)
@@ -54,14 +54,10 @@ def sweep(
         for n_ways in ways:
             if n_ways == 0:
                 continue  # no table at all == the baseline
-            params = (
-                ("degree", 4),
-                ("replacement", "srrip"),
-                ("initial_ways", n_ways),
-                ("resize_enabled", False),
-            )
             jobs.append(SimJob(
-                "triage", ref, config, params=params, label=f"ways{n_ways}"
+                "triage", ref, config,
+                params=triage4_params(config, initial_ways=n_ways),
+                label=f"ways{n_ways}",
             ))
             slots.append((trace.label, n_ways))
     by_slot = dict(zip(slots, runner.run(jobs)))

@@ -5,43 +5,25 @@ set of workloads under a set of schemes (always including the
 no-temporal-prefetcher baseline every paper metric normalizes to) and
 collect :class:`repro.sim.results.SimResult` per (workload, scheme).
 
-Schemes are small factories so each workload gets a fresh prefetcher and
-Prophet gets its own profiling pass (its hints are workload-specific, like
-the recompiled binaries in the paper).
-
-Execution is routed through :mod:`repro.runner`: factories tagged with a
-``runner_scheme`` attribute become :class:`~repro.runner.jobs.SimJob`
-specs (parallelizable across a process pool and cached on disk by
-content hash); untagged custom factories — tests and ad-hoc studies pass
-those — fall back to the historical inline path, fed with the
-runner-computed baselines.
+A suite's columns map names to :class:`~repro.runner.schemes.Scheme`
+records from the runner's scheme table, and every (workload, scheme)
+cell is a :class:`~repro.runner.jobs.SimJob`: parallelizable across a
+process pool and cached on disk by content hash.  Each workload gets a
+fresh prefetcher, and Prophet its own profiling pass (its hints are
+workload-specific, like the recompiled binaries in the paper).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
-from ..core.analysis import AnalysisParams
-from ..core.pipeline import OptimizedBinary
-from ..core.prophet import ProphetFeatures
-from ..prefetchers.base import L2Prefetcher
-from ..prefetchers.rpg2 import (
-    RPG2Prefetcher,
-    binary_search_distance,
-    identify_kernels,
-)
-from ..prefetchers.triage import TriagePrefetcher
-from ..prefetchers.triangel import TriangelPrefetcher
 from ..runner import SimJob, TraceRef, get_runner
 from ..runner.runner import JobFailure, Runner
+from ..runner.schemes import SCHEMES, Scheme
 from ..sim.config import SystemConfig, config_digest, default_config
-from ..sim.engine import simulate
 from ..sim.results import SimResult, format_table, geomean
 from ..workloads.base import Trace
-
-#: Fraction of the trace used for RPG2's online distance tuning runs.
-RPG2_TUNE_FRACTION = 0.3
 
 #: Version stamp written into persisted SuiteResults files.
 SUITE_SCHEMA_VERSION = 1
@@ -176,94 +158,32 @@ class SuiteResults:
         return format_table(["workload"] + list(self.schemes), rows, title)
 
 
-SchemeFactory = Callable[[Trace, SystemConfig, SimResult], Optional[L2Prefetcher]]
+def triage4_params(
+    config: SystemConfig, degree: int = 4, initial_ways: Optional[int] = None
+) -> tuple:
+    """``triage`` job params of Fig. 19's "Triage4 + Triangel Meta" base.
 
-
-def make_triangel(trace: Trace, config: SystemConfig, base: SimResult):
-    return TriangelPrefetcher(config)
-
-
-#: Runner dispatch tag: evaluate_suite turns calls to this factory into a
-#: SimJob for the named executor (see repro.runner.schemes).
-make_triangel.runner_scheme = "triangel"
-
-
-def triage4_params(config: SystemConfig) -> tuple:
-    """SimJob params reproducing :func:`make_triage4` exactly."""
+    The degree and ways ablations vary one knob of the same configuration.
+    """
     return (
-        ("degree", 4),
+        ("degree", degree),
         ("replacement", "srrip"),
-        ("initial_ways", config.l3.assoc // 2),
+        ("initial_ways", config.l3.assoc // 2 if initial_ways is None else initial_ways),
         ("resize_enabled", False),
     )
 
 
-def make_triage4(trace: Trace, config: SystemConfig, base: SimResult):
-    """Fig. 19's "Triage4 + Triangel Meta" base configuration."""
-    return TriagePrefetcher(
-        config, degree=4, replacement="srrip",
-        initial_ways=config.l3.assoc // 2, resize_enabled=False,
-    )
-
-
-def make_rpg2(trace: Trace, config: SystemConfig, base: SimResult):
-    """RPG2 with kernel identification and binary-search distance tuning.
-
-    Follows the paper's baseline methodology (Section 5.1): PCs with
-    >= 10 % of cache misses and a stride-analyzable kernel get a simulated
-    software prefetch at ``address + distance``, with the distance tuned
-    by binary search on IPC over a shortened run.
-    """
-    kernels = identify_kernels(trace.pcs, trace.lines, base.miss_by_pc)
-    if not kernels:
-        return RPG2Prefetcher([])
-    tune_trace = trace.interval(0, max(2000, int(len(trace) * RPG2_TUNE_FRACTION)))
-
-    def evaluate(distance: int) -> float:
-        pf = RPG2Prefetcher(kernels).with_distance(distance)
-        return simulate(tune_trace, config, pf, "rpg2-tune").ipc
-
-    best, _ = binary_search_distance(evaluate)
-    return RPG2Prefetcher(kernels).with_distance(best)
-
-
-make_rpg2.runner_scheme = "rpg2"
-
-
-def make_prophet(
-    features: ProphetFeatures = ProphetFeatures(),
-    params: AnalysisParams = AnalysisParams(),
-) -> SchemeFactory:
-    """Prophet factory: profiles each workload, then attaches the hints."""
-
-    def factory(trace: Trace, config: SystemConfig, base: SimResult):
-        binary = OptimizedBinary.from_profile(trace, config, params)
-        return binary.prefetcher(config, features)
-
-    factory.runner_scheme = "prophet"
-    factory.runner_params = (
-        ("features", asdict(features)),
-        ("params", asdict(params)),
-    )
-    return factory
-
-
-DEFAULT_SCHEMES: Dict[str, SchemeFactory] = {
-    "rpg2": make_rpg2,
-    "triangel": make_triangel,
-    "prophet": make_prophet(),
+#: Columns the Experiment API and serve select by name
+#: (``repro.api.run(..., schemes=["prophet"])``).
+NAMED_SCHEMES: Dict[str, Scheme] = {
+    name: SCHEMES[name]
+    for name in ("rpg2", "triangel", "prophet", "stms", "domino", "misb")
 }
 
-#: Named scheme factories the Experiment API can select by name
-#: (``repro.api.run(..., schemes=["prophet"])``).  Modules defining extra
-#: schemes (the off-chip generations) add theirs via :func:`register_scheme`.
-SCHEME_FACTORIES: Dict[str, SchemeFactory] = dict(DEFAULT_SCHEMES)
-
-
-def register_scheme(name: str, factory: SchemeFactory) -> SchemeFactory:
-    """Make ``factory`` selectable by ``name`` through the Experiment API."""
-    SCHEME_FACTORIES[name] = factory
-    return factory
+#: The paper's comparison (Section 5.1): column name -> scheme record.
+DEFAULT_SCHEMES: Dict[str, Scheme] = {
+    name: NAMED_SCHEMES[name] for name in ("rpg2", "triangel", "prophet")
+}
 
 
 #: Memo for the shared SPEC comparison (Figs. 10, 11, 12 report different
@@ -314,7 +234,7 @@ def suite_request(
     req,
     base_config: Optional[SystemConfig] = None,
     labels: Optional[Sequence[str]] = None,
-    schemes: Optional[Dict[str, SchemeFactory]] = None,
+    schemes: Optional[Dict[str, Scheme]] = None,
     shared: bool = False,
 ) -> SuiteResults:
     """Evaluate one suite experiment's :class:`ExperimentRequest`.
@@ -336,18 +256,19 @@ def suite_request(
 def suite_jobs(
     traces: Sequence[Trace],
     config: SystemConfig,
-    schemes: Dict[str, SchemeFactory],
+    schemes: Dict[str, Scheme],
     warmup_frac: float = 0.25,
 ):
     """Build the SimJob list for a suite evaluation.
 
-    Returns ``(jobs, slots, custom)``: jobs with aligned
-    ``(workload_label, scheme_name)`` slots, plus the custom (untagged)
-    factories that must run inline after the baselines exist.
+    Returns ``(jobs, slots)``: jobs with aligned
+    ``(workload_label, column_name)`` slots.  Each scheme's
+    ``needs`` picks its dependency jobs: the workload's baseline
+    (``"base"``) or its profiling pass (``"profile"``, its own job so it
+    parallelizes and caches independently of the simulate stage).
     """
     jobs: List[SimJob] = []
     slots: List[tuple] = []
-    custom: List[tuple] = []
     for trace in traces:
         # Registry-built traces ride on their source digest (tiny,
         # by-reference jobs); ad-hoc traces are inlined + content-hashed.
@@ -357,31 +278,20 @@ def suite_jobs(
         )
         jobs.append(base_job)
         slots.append((trace.label, "baseline"))
-        for name, factory in schemes.items():
-            scheme = getattr(factory, "runner_scheme", None)
-            if scheme is None:
-                custom.append((trace, name, factory))
-                continue
-            params = tuple(getattr(factory, "runner_params", ()))
-            deps: Dict[str, SimJob] = {}
-            if scheme == "rpg2":
-                deps["base"] = base_job
-            elif scheme == "prophet":
-                # Two-stage pipeline: the profiling pass is its own job, so
-                # it parallelizes (and caches) independently of the
-                # simulate stage.
-                deps["profile"] = SimJob("profile", ref, config)
-            jobs.append(
-                SimJob(scheme, ref, config, warmup_frac, params, deps, name)
-            )
+        roles = {"base": base_job, "profile": SimJob("profile", ref, config)}
+        for name, scheme in schemes.items():
+            deps = {role: roles[role] for role in scheme.needs}
+            jobs.append(SimJob(
+                scheme.name, ref, config, warmup_frac, scheme.params, deps, name
+            ))
             slots.append((trace.label, name))
-    return jobs, slots, custom
+    return jobs, slots
 
 
 def evaluate_suite(
     traces: Sequence[Trace],
     config: Optional[SystemConfig] = None,
-    schemes: Optional[Dict[str, SchemeFactory]] = None,
+    schemes: Optional[Dict[str, Scheme]] = None,
     warmup_frac: float = 0.25,
     runner: Optional[Runner] = None,
 ) -> SuiteResults:
@@ -390,56 +300,19 @@ def evaluate_suite(
     Work is expressed as SimJobs and executed by ``runner`` (default: the
     process-wide runner from :func:`repro.runner.get_runner`), which
     parallelizes across workloads/schemes and reuses cached results.
-    Factories without a ``runner_scheme`` tag run inline, exactly as
-    before, fed with the runner-computed baseline.
     """
     config = config or default_config()
     schemes = schemes if schemes is not None else DEFAULT_SCHEMES
     runner = runner or get_runner()
     results = SuiteResults(schemes=list(schemes))
 
-    jobs, slots, custom = suite_jobs(list(traces), config, schemes, warmup_frac)
+    jobs, slots = suite_jobs(list(traces), config, schemes, warmup_frac)
     failures_before = len(runner.failure_log)
-    payloads = runner.run(jobs)
-    for (label, name), payload in zip(slots, payloads):
+    for (label, name), payload in zip(slots, runner.run(jobs)):
         # A None payload means the job failed or was dep-skipped under a
         # tolerant on_error policy; its JobFailure is in the runner's
         # failure_log (collected into results.failures below).
-        if payload is None:
-            continue
-        results.by_workload.setdefault(label, {})[name] = payload
-
-    tolerant = runner.on_error != "raise"
-    base_key = {
-        slot: job.cache_key for slot, job in zip(slots, jobs)
-    }
-    extra_failures: List[JobFailure] = []
-    for trace, name, factory in custom:
-        base = results.by_workload.get(trace.label, {}).get("baseline")
-        key = base_key.get((trace.label, "baseline"), "")
-        if base is None:
-            # Only reachable in tolerant mode (otherwise the baseline's
-            # failure already raised): record the skip, keyed by the
-            # baseline job this custom factory depended on.
-            extra_failures.append(JobFailure(
-                key=key, scheme=name, label=name, trace=trace.label,
-                kind="skipped",
-                error="SKIPPED(dep): baseline failed for this workload",
-            ))
-            continue
-        try:
-            pf = factory(trace, config, base)
-            results.by_workload[trace.label][name] = simulate(
-                trace, config, pf, name, warmup_frac
-            )
-        except Exception as exc:  # noqa: BLE001 - structured under skip
-            if not tolerant:
-                raise
-            extra_failures.append(JobFailure(
-                key=key, scheme=name, label=name, trace=trace.label,
-                kind="error", error=f"{type(exc).__name__}: {exc}",
-            ))
-    results.failures = (
-        list(runner.failure_log[failures_before:]) + extra_failures
-    )
+        if payload is not None:
+            results.by_workload.setdefault(label, {})[name] = payload
+    results.failures = list(runner.failure_log[failures_before:])
     return results

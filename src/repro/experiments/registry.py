@@ -98,19 +98,19 @@ class ExperimentRequest:
         return resolve_traces(labels, self.records)
 
     def resolve_schemes(self, defaults: Mapping[str, Any]) -> Dict[str, Any]:
-        """Selected scheme factories (named ones from the scheme registry)."""
+        """Selected scheme records (named ones from the scheme table)."""
         if self.schemes is None:
             return dict(defaults)
-        from .common import SCHEME_FACTORIES
+        from .common import NAMED_SCHEMES
 
         out: Dict[str, Any] = {}
         for name in self.schemes:
             if name in defaults:
                 out[name] = defaults[name]
-            elif name in SCHEME_FACTORIES:
-                out[name] = SCHEME_FACTORIES[name]
+            elif name in NAMED_SCHEMES:
+                out[name] = NAMED_SCHEMES[name]
             else:
-                options = sorted(set(defaults) | set(SCHEME_FACTORIES))
+                options = sorted(set(defaults) | set(NAMED_SCHEMES))
                 raise ValueError(
                     f"unknown scheme {name!r}; options: {', '.join(options)}"
                 )

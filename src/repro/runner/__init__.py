@@ -13,8 +13,9 @@ result cache keyed by each job's hash, so repeated figure runs and
 Layers:
 
 - :mod:`repro.runner.jobs`    — ``TraceRef``/``SimJob`` specs + cache keys;
-- :mod:`repro.runner.schemes` — named executors (baseline, triangel,
-  triage, rpg2, stms/domino/misb, profile, prophet, prophet_learned);
+- :mod:`repro.runner.schemes` — the scheme table: one ``Scheme`` record
+  per scheme (baseline, triangel, triage, rpg2, stms/domino/misb,
+  prophet, prophet_learned) plus the ``profile`` pass;
 - :mod:`repro.runner.pools`   — the ``Pool`` contract and the
   ``InlinePool``/``LocalPool``/``SSHPool``/``LoopbackPool`` backends;
 - :mod:`repro.runner.worker`  — the self-contained JSON-lines RPC

@@ -1,7 +1,7 @@
 """Job specifications: content-addressed descriptions of simulation work.
 
 A :class:`SimJob` fully describes one unit of work — which trace, which
-system configuration, which scheme executor, what warmup — plus the jobs
+system configuration, which scheme, what warmup — plus the jobs
 it depends on (RPG2 needs the baseline's miss profile, Prophet needs a
 profiling pass).  Jobs hash to a stable :attr:`SimJob.cache_key`, which is
 what makes the on-disk result cache and cross-process deduplication safe:
@@ -142,13 +142,15 @@ class TraceRef:
 class SimJob:
     """One unit of simulation work, addressable by content hash.
 
-    ``scheme`` names an executor in
-    :data:`repro.runner.schemes.SCHEME_REGISTRY`; ``params`` carries
-    executor-specific knobs as a ``((name, value), ...)`` tuple of
-    JSON-compatible values; ``deps`` maps executor-defined roles (e.g.
-    ``"base"``, ``"profile"``) to the jobs whose payloads the executor
-    receives; ``label`` is recorded as the resulting SimResult's scheme
-    name (it is part of the cache key — results are cached *as labelled*).
+    ``scheme`` names a record in :data:`repro.runner.schemes.SCHEMES`
+    (or ``"profile"``, Prophet's profiling pass); ``params`` carries the
+    scheme's knobs as a ``((name, value), ...)`` tuple of JSON-compatible
+    values, handed to its ``prefetcher`` builder as a dict; ``deps`` maps
+    dependency roles (``"base"``, ``"profile"``, or the learning chain's
+    ``"profile_0" .. "profile_N"``) to the jobs whose payloads the
+    builder receives; ``label`` is recorded as the resulting SimResult's
+    scheme name (it is part of the cache key — results are cached *as
+    labelled*).
     """
 
     scheme: str

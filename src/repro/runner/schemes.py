@@ -1,32 +1,42 @@
-"""Named scheme executors: the worker-side half of the runner.
+"""The scheme table: every prefetching scheme the runner can execute.
 
-Each executor is a module-level function (so the process pool can pickle
-it by reference) that reconstructs its prefetcher from a
-:class:`~repro.runner.jobs.SimJob` spec and runs the simulation.  The
-executors mirror the factory functions in
-:mod:`repro.experiments.common` exactly — a scheme run through the runner
-must produce a bit-identical :class:`~repro.sim.results.SimResult` to the
-same scheme run inline.
+A :class:`Scheme` is one declarative record — the ``SimJob.scheme`` name,
+the dependency roles its jobs need, its default ``params`` and a
+module-level ``prefetcher(trace, config, deps, params)`` builder.
+:data:`SCHEMES` is the only place a scheme is defined: experiments pick
+their columns from it, the Experiment API and serve validate scheme
+names against it, and :func:`execute_job` runs any job whose scheme names
+a record.  A custom scheme is one more record in the table and gets
+caching, pools and structured failure records like the built-in ones.
 
-Dependency roles consumed from ``dep_payloads``:
+Dependency roles (``Scheme.needs``) and the payloads they deliver:
 
-- ``rpg2``            — ``"base"``: the baseline SimResult (kernel
-  selection needs its per-PC miss profile);
-- ``prophet``         — ``"profile"``: the CounterSet from a ``profile``
-  job (Prophet's two-stage profile → analyze → simulate pipeline);
-- ``prophet_learned`` — ``"profile_0" .. "profile_N"``: CounterSets
-  folded in order through Equation 4/5 (the Fig. 13/14 learning chain).
+- ``"base"``    — the baseline SimResult (RPG2's kernel selection needs
+  its per-PC miss profile);
+- ``"profile"`` — the CounterSet of a ``profile`` job (Prophet's
+  two-stage profile → analyze → simulate pipeline).
+
+Two job kinds are not columns: ``profile`` returns Prophet's Step-1
+CounterSet instead of a SimResult, and ``prophet_learned`` receives a
+``"profile_0" .. "profile_N"`` chain folded through Equation 4/5 (the
+Fig. 13/14 learning states).
+
+Builders call ``simulate``/``profile``/``analyze`` through this module's
+globals at call time, never through references captured at import, so
+instrumentation that rebinds those names sees every call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import faults as _faults
 from ..core.analysis import AnalysisParams, analyze
 from ..core.learning import DEFAULT_LOOP_CAP, merge_counters
 from ..core.profiler import CounterSet, profile
 from ..core.prophet import ProphetFeatures, ProphetPrefetcher
+from ..prefetchers.base import L2Prefetcher
 from ..prefetchers.offchip import DominoPrefetcher, MISBPrefetcher, STMSPrefetcher
 from ..prefetchers.rpg2 import (
     RPG2Prefetcher,
@@ -37,103 +47,78 @@ from ..prefetchers.triage import TriagePrefetcher
 from ..prefetchers.triangel import TriangelPrefetcher
 from ..sim.config import SystemConfig
 from ..sim.engine import simulate
-from ..sim.results import SimResult
 from ..workloads.base import Trace
 from .jobs import SimJob
 
-#: Fraction of the trace used for RPG2's online distance tuning runs
-#: (kept in lockstep with repro.experiments.common.RPG2_TUNE_FRACTION).
+#: Fraction of the trace used for RPG2's online distance tuning runs.
 RPG2_TUNE_FRACTION = 0.3
 
-Executor = Callable[[SimJob, Trace, SystemConfig, Dict[str, object]], object]
+#: ``prefetcher(trace, config, deps, params)``: ``deps`` maps each role in
+#: ``needs`` to its payload, ``params`` is the job's params as a dict.
+Builder = Callable[
+    [Trace, SystemConfig, Dict[str, Any], Dict[str, Any]], Optional[L2Prefetcher]
+]
 
 
-def _label(job: SimJob, default: str) -> str:
-    return job.label or default
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme: how to build its prefetcher and what its jobs need."""
+
+    name: str
+    prefetcher: Builder
+    needs: Tuple[str, ...] = ()
+    params: Tuple[Tuple[str, Any], ...] = ()
+
+    def with_params(self, **params: Any) -> "Scheme":
+        """The same scheme with some default params replaced.
+
+        Variant columns (a Prophet feature or analysis ablation) are
+        records like any other: their jobs differ only in ``params``.
+        """
+        merged = dict(self.params)
+        merged.update(params)
+        return replace(self, params=tuple(merged.items()))
 
 
-def run_baseline(job, trace, config, deps):
-    return simulate(
-        trace, config, None, _label(job, "baseline"), job.warmup_frac
-    )
+def _no_prefetcher(trace, config, deps, params):
+    return None
 
 
-def run_triangel(job, trace, config, deps):
-    return simulate(
-        trace, config, TriangelPrefetcher(config), _label(job, "triangel"),
-        job.warmup_frac,
-    )
+def _triangel(trace, config, deps, params):
+    return TriangelPrefetcher(config)
 
 
-def run_triage(job, trace, config, deps):
+def _triage(trace, config, deps, params):
     """Parameterized Triage: degree/replacement/ways/resizing via params."""
-    p = job.param_dict()
-    pf = TriagePrefetcher(
-        config,
-        degree=p.get("degree", 1),
-        replacement=p.get("replacement", "hawkeye"),
-        initial_ways=p.get("initial_ways", 8),
-        resize_enabled=p.get("resize_enabled", True),
-        track_inserts=p.get("track_inserts", False),
-    )
-    return simulate(trace, config, pf, _label(job, "triage"), job.warmup_frac)
+    return TriagePrefetcher(config, **params)
 
 
-def run_stms(job, trace, config, deps):
-    return simulate(
-        trace, config, STMSPrefetcher(degree=4), _label(job, "stms"),
-        job.warmup_frac,
-    )
+def _offchip(cls):
+    """An off-chip generation at degree 4 (Section 2.1's comparison)."""
+    return lambda trace, config, deps, params: cls(degree=4)
 
 
-def run_domino(job, trace, config, deps):
-    return simulate(
-        trace, config, DominoPrefetcher(degree=4), _label(job, "domino"),
-        job.warmup_frac,
-    )
-
-
-def run_misb(job, trace, config, deps):
-    return simulate(
-        trace, config, MISBPrefetcher(degree=4), _label(job, "misb"),
-        job.warmup_frac,
-    )
-
-
-def run_rpg2(job, trace, config, deps):
+def _rpg2(trace, config, deps, params):
     """RPG2 with kernel identification and binary-search distance tuning.
 
-    Mirrors :func:`repro.experiments.common.make_rpg2`: PCs with >= 10 %
-    of the *baseline's* cache misses and a stride-analyzable kernel get a
-    simulated software prefetch, distance tuned by binary search on IPC
-    over a shortened run.
+    Follows the paper's baseline methodology (Section 5.1): PCs with
+    >= 10 % of the *baseline's* cache misses and a stride-analyzable
+    kernel get a simulated software prefetch at ``address + distance``,
+    with the distance tuned by binary search on IPC over a shortened run.
     """
-    base: SimResult = deps["base"]
-    kernels = identify_kernels(trace.pcs, trace.lines, base.miss_by_pc)
+    kernels = identify_kernels(trace.pcs, trace.lines, deps["base"].miss_by_pc)
     if not kernels:
-        pf = RPG2Prefetcher([])
-    else:
-        tune_trace = trace.interval(
-            0, max(2000, int(len(trace) * RPG2_TUNE_FRACTION))
-        )
+        return RPG2Prefetcher([])
+    tune_trace = trace.interval(
+        0, max(2000, int(len(trace) * RPG2_TUNE_FRACTION))
+    )
 
-        def evaluate(distance: int) -> float:
-            tuned = RPG2Prefetcher(kernels).with_distance(distance)
-            return simulate(tune_trace, config, tuned, "rpg2-tune").ipc
+    def evaluate(distance: int) -> float:
+        tuned = RPG2Prefetcher(kernels).with_distance(distance)
+        return simulate(tune_trace, config, tuned, "rpg2-tune").ipc
 
-        best, _ = binary_search_distance(evaluate)
-        pf = RPG2Prefetcher(kernels).with_distance(best)
-    return simulate(trace, config, pf, _label(job, "rpg2"), job.warmup_frac)
-
-
-def run_profile(job, trace, config, deps):
-    """Prophet Step 1: counters under the simplified temporal prefetcher.
-
-    Suite builders leave ``warmup_frac`` at the job default (0.25),
-    matching ``OptimizedBinary.from_profile``; it is honoured here
-    because it is part of the job's cache key.
-    """
-    return profile(trace, config, job.warmup_frac)
+    best, _ = binary_search_distance(evaluate)
+    return RPG2Prefetcher(kernels).with_distance(best)
 
 
 def _prophet_from_counters(
@@ -147,50 +132,59 @@ def _prophet_from_counters(
     )
 
 
-def run_prophet(job, trace, config, deps):
-    """Prophet Steps 2+: analyze profiled counters, attach hints, simulate."""
-    counters: CounterSet = deps["profile"]
-    pf = _prophet_from_counters(counters, config, job.param_dict())
-    return simulate(trace, config, pf, _label(job, "prophet"), job.warmup_frac)
+def _prophet(trace, config, deps, params):
+    """Prophet Steps 2+: analyze the profiled counters, attach the hints."""
+    return _prophet_from_counters(deps["profile"], config, params)
 
 
-def run_prophet_learned(job, trace, config, deps):
+def _prophet_learned(trace, config, deps, params):
     """Prophet after learning a chain of inputs (Fig. 13/14 states).
 
     Folds ``profile_0 .. profile_N`` through Equation 4/5 exactly as
     ``OptimizedBinary.from_profile`` + repeated ``.learn`` calls would,
-    then re-analyzes and simulates on ``trace``.
+    then re-analyzes for ``trace``.
     """
-    p = job.param_dict()
-    loop_cap = p.get("loop_cap", DEFAULT_LOOP_CAP)
+    loop_cap = params.get("loop_cap", DEFAULT_LOOP_CAP)
     chain = [deps[f"profile_{i}"] for i in range(len(deps))]
     counters = chain[0]
     for nxt in chain[1:]:
         counters = merge_counters(counters, nxt, loop_cap)
-    pf = _prophet_from_counters(counters, config, p)
-    return simulate(trace, config, pf, _label(job, "prophet"), job.warmup_frac)
+    return _prophet_from_counters(counters, config, params)
 
 
-SCHEME_REGISTRY: Dict[str, Executor] = {
-    "baseline": run_baseline,
-    "triangel": run_triangel,
-    "triage": run_triage,
-    "stms": run_stms,
-    "domino": run_domino,
-    "misb": run_misb,
-    "rpg2": run_rpg2,
-    "profile": run_profile,
-    "prophet": run_prophet,
-    "prophet_learned": run_prophet_learned,
+SCHEMES: Dict[str, Scheme] = {
+    scheme.name: scheme
+    for scheme in (
+        Scheme("baseline", _no_prefetcher),
+        Scheme("triangel", _triangel),
+        Scheme("triage", _triage),
+        Scheme("stms", _offchip(STMSPrefetcher)),
+        Scheme("domino", _offchip(DominoPrefetcher)),
+        Scheme("misb", _offchip(MISBPrefetcher)),
+        Scheme("rpg2", _rpg2, needs=("base",)),
+        Scheme("prophet", _prophet, needs=("profile",), params=(
+            ("features", asdict(ProphetFeatures())),
+            ("params", asdict(AnalysisParams())),
+        )),
+        Scheme("prophet_learned", _prophet_learned),
+    )
 }
 
 
 def execute_job(job: SimJob, dep_payloads: Optional[Dict[str, object]] = None):
-    """Worker entry point: resolve the trace and run the executor."""
+    """Worker entry point: resolve the trace and run the job's scheme."""
     _faults.fire("job.execute", detail=f"{job.scheme}:{job.trace.label}")
-    fn = SCHEME_REGISTRY.get(job.scheme)
-    if fn is None:
+    if job.scheme == "profile":
+        # Prophet Step 1: counters under the simplified temporal
+        # prefetcher.  ``warmup_frac`` is part of the job's cache key.
+        return profile(job.trace.resolve(), job.config, job.warmup_frac)
+    scheme = SCHEMES.get(job.scheme)
+    if scheme is None:
         raise ValueError(
-            f"unknown scheme {job.scheme!r}; registry: {sorted(SCHEME_REGISTRY)}"
+            f"unknown scheme {job.scheme!r}; table: {sorted(SCHEMES)}"
         )
-    return fn(job, job.trace.resolve(), job.config, dep_payloads or {})
+    trace = job.trace.resolve()
+    pf = scheme.prefetcher(trace, job.config, dep_payloads or {}, job.param_dict())
+    return simulate(
+        trace, job.config, pf, job.label or scheme.name, job.warmup_frac
+    )

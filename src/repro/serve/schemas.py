@@ -171,9 +171,9 @@ class ServeRequest:
                     400, "invalid-request",
                     f"experiment {name!r} does not select schemes",
                 )
-            from ..experiments.common import SCHEME_FACTORIES
+            from ..experiments.common import NAMED_SCHEMES
 
-            known = set(exp.schemes) | set(SCHEME_FACTORIES)
+            known = set(exp.schemes) | set(NAMED_SCHEMES)
             bad = sorted(set(schemes) - known)
             if bad:
                 raise ServeError(

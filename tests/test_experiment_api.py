@@ -23,6 +23,8 @@ import repro.experiments
 from repro import cli, viz
 from repro.experiments import REGISTRY, get_experiment, register_experiment
 from repro.experiments.common import SuiteResults
+from repro.runner import ExecutionPolicy, InlinePool, Runner
+from repro.serve import ServeError, ServeRequest
 from repro.sim.config import config_digest, default_config
 
 
@@ -97,6 +99,28 @@ class TestFacade:
             api.run("fig10", records=2000, workloads=["mcf_inp"],
                     schemes=["not_a_scheme"])
 
+    def test_named_schemes_match_serve_options(self):
+        # One table answers both surfaces: every scheme a suite figure
+        # can select by name, whatever its own defaults.
+        named = ["domino", "misb", "prophet", "rpg2", "stms", "triangel"]
+        with pytest.raises(ValueError) as exc:
+            api.run("fig10", records=2000, workloads=["mcf_inp"],
+                    schemes=["not_a_scheme"])
+        assert str(exc.value).endswith("options: " + ", ".join(named))
+        with pytest.raises(ServeError) as served:
+            ServeRequest.from_payload(
+                {"experiment": "fig10", "schemes": ["not_a_scheme"]})
+        assert served.value.code == "unknown-scheme"
+        assert served.value.details["options"] == named
+
+    def test_cross_registered_scheme_runs_through_runner(self):
+        runner = Runner(use_cache=False, pool=InlinePool())
+        result = api.run("fig10", records=2000, workloads=["mcf_inp"],
+                         schemes=["stms"], runner=runner)
+        assert result.payload.schemes == ["stms"]
+        assert result.payload.by_workload["mcf_inp"]["stms"].scheme == "stms"
+        assert runner.stats.executed == 2  # baseline + stms
+
     def test_suite_selection_and_round_trip(self):
         result = api.run(
             "fig10", records=6000, workloads=["sphinx3_an4"],
@@ -152,7 +176,7 @@ class TestFacade:
         from repro.runner import get_runner
 
         before = get_runner()
-        api.run("storage", jobs=1)
+        api.run("storage", execution=ExecutionPolicy(jobs=1))
         assert get_runner() is before
 
 

@@ -26,12 +26,13 @@ from repro.core.mvb import MultiPathVictimBuffer
 from repro.core.pipeline import OptimizedBinary
 from repro.core.profiler import simplified_prefetcher
 from repro.core.prophet import ProphetFeatures, ProphetPrefetcher
-from repro.experiments.common import make_triage4
+from repro.experiments.common import triage4_params
 from repro.prefetchers.triage import TriagePrefetcher
 from repro.prefetchers.triangel import (
     TriangelPrefetcher,
     TriangelPrefetcherReference,
 )
+from repro.runner.schemes import SCHEMES
 from repro.sim import engine, native
 from repro.sim.config import apply_overrides, default_config
 from repro.sim.engine import run_simulation, simulate
@@ -142,7 +143,8 @@ def test_triage(kind, mcf, config, monkeypatch):
     calls = count_calls(monkeypatch, TriagePrefetcher)
     make = {
         "profiling": lambda: simplified_prefetcher(config),
-        "triage4": lambda: make_triage4(mcf, config, None),
+        "triage4": lambda: SCHEMES["triage"].prefetcher(
+            mcf, config, {}, dict(triage4_params(config))),
     }[kind]
     pf, _ = assert_step_matches(mcf, config, make, kind, calls)
     if kind == "profiling":

@@ -372,15 +372,6 @@ class TestApiExecution:
         result = api.run("storage", runner=runner)
         assert result.execution is None
 
-    def test_flat_kwargs_are_deprecated_but_work(self, tmp_path):
-        with pytest.deprecated_call(match="execution=ExecutionPolicy"):
-            result = api.run("storage", jobs=1, cache_dir=tmp_path)
-        assert result.execution["cache_dir"] == str(tmp_path)
-
-    def test_mixing_flat_kwargs_and_execution_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            api.run("storage", jobs=2, execution=ExecutionPolicy())
-
     def test_mixing_execution_and_runner_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             api.run(

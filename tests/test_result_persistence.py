@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import SuiteResults, evaluate_suite, make_triangel
+from repro.experiments.common import DEFAULT_SCHEMES, SuiteResults, evaluate_suite
 from repro.sim.results import SimResult
 from repro.workloads.spec import make_spec_trace
 
@@ -73,7 +73,7 @@ class TestSuiteResultsRoundTrip:
     @pytest.fixture(scope="class")
     def results(self):
         traces = [make_spec_trace("mcf", "inp", 5000)]
-        return evaluate_suite(traces, schemes={"triangel": make_triangel})
+        return evaluate_suite(traces, schemes={"triangel": DEFAULT_SCHEMES["triangel"]})
 
     def test_save_load(self, results, tmp_path):
         path = tmp_path / "run.json"

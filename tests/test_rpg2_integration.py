@@ -1,6 +1,6 @@
 """Integration tests for the RPG2 workflow (kernel id + tuning + run)."""
 
-from repro.experiments.common import make_rpg2
+from repro.runner.schemes import SCHEMES
 from repro.sim.config import default_config
 from repro.sim.engine import run_simulation
 from repro.workloads.base import (
@@ -15,6 +15,11 @@ from repro.workloads.spec import make_spec_trace
 import random
 
 
+def rpg2(trace, cfg, base):
+    """The runner's RPG2 builder: kernel selection + distance tuning."""
+    return SCHEMES["rpg2"].prefetcher(trace, cfg, {"base": base}, {})
+
+
 class TestRPG2OnSyntheticKernels:
     def quasi_trace(self, n=40_000):
         space = AddressSpace()
@@ -25,7 +30,7 @@ class TestRPG2OnSyntheticKernels:
         cfg = default_config()
         trace = self.quasi_trace()
         base = run_simulation(trace, cfg, None, "baseline")
-        pf = make_rpg2(trace, cfg, base)
+        pf = rpg2(trace, cfg, base)
         assert pf.kernels  # the scan qualifies
         res = run_simulation(trace, cfg, pf, "rpg2")
         assert res.speedup_over(base) > 1.02
@@ -40,14 +45,14 @@ class TestRPG2OnSyntheticKernels:
                                       chain_len=48, repeat_prob=0.9)
         trace = build_trace("chase", "x", [comp], 30_000, seed=4)
         base = run_simulation(trace, cfg, None, "baseline")
-        pf = make_rpg2(trace, cfg, base)
+        pf = rpg2(trace, cfg, base)
         assert not pf.kernels
 
     def test_spec_personas_mostly_unqualified(self):
         cfg = default_config()
         trace = make_spec_trace("mcf", "inp", 40_000)
         base = run_simulation(trace, cfg, None, "baseline")
-        pf = make_rpg2(trace, cfg, base)
+        pf = rpg2(trace, cfg, base)
         res = run_simulation(trace, cfg, pf, "rpg2")
         # ~no gain on irregular SPEC (the Fig. 10 RPG2 bars).
         assert abs(res.speedup_over(base) - 1.0) < 0.05
@@ -56,7 +61,7 @@ class TestRPG2OnSyntheticKernels:
         cfg = default_config()
         trace = self.quasi_trace()
         base = run_simulation(trace, cfg, None, "baseline")
-        pf = make_rpg2(trace, cfg, base)
+        pf = rpg2(trace, cfg, base)
         for kernel in pf.kernels.values():
             assert 1 <= kernel.distance <= 64
 
@@ -64,6 +69,6 @@ class TestRPG2OnSyntheticKernels:
         cfg = default_config()
         trace = make_crono_trace("pagerank_100000_100", 60_000)
         base = run_simulation(trace, cfg, None, "baseline")
-        pf = make_rpg2(trace, cfg, base)
+        pf = rpg2(trace, cfg, base)
         res = run_simulation(trace, cfg, pf, "rpg2")
         assert res.speedup_over(base) >= 1.0

@@ -10,9 +10,11 @@ from repro.experiments.common import (
     SUITE_SCHEMA_VERSION,
     SuiteResults,
     evaluate_suite,
+    suite_jobs,
 )
 from repro.runner import (
     ENGINE_VERSION,
+    InlinePool,
     ResultCache,
     Runner,
     SimJob,
@@ -24,6 +26,7 @@ from repro.runner import (
     use_runner,
 )
 from repro.runner.runner import payload_from_dict, payload_to_dict
+from repro.runner.schemes import SCHEMES, Scheme
 from repro.sim.config import default_config
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimResult
@@ -253,16 +256,67 @@ class TestRunnerContext:
 # experiment re-plumbing
 # ----------------------------------------------------------------------
 class TestEvaluateSuiteThroughRunner:
-    def test_custom_factory_falls_back_inline(self, config, small_trace):
+    def test_custom_scheme_runs_through_runner(
+        self, config, small_trace, tmp_path, monkeypatch
+    ):
         calls = []
 
-        def custom(trace, cfg, base):
-            calls.append((trace.label, base.scheme))
+        def build(trace, cfg, deps, params):
+            calls.append((trace.label, deps["base"].scheme, params))
             return None  # baseline prefetcher
 
-        suite = evaluate_suite([small_trace], config, {"custom": custom})
-        assert calls == [("mcf_inp", "baseline")]
+        custom = Scheme("custom", build, needs=("base",), params=(("knob", 3),))
+        monkeypatch.setitem(SCHEMES, "custom", custom)
+
+        def run_suite():
+            runner = Runner(cache_dir=tmp_path, pool=InlinePool())
+            suite = evaluate_suite([small_trace], config, {"custom": custom},
+                                   runner=runner)
+            return suite, runner.stats
+
+        suite, stats = run_suite()
+        assert calls == [("mcf_inp", "baseline", {"knob": 3})]
         assert suite.by_workload["mcf_inp"]["custom"].scheme == "custom"
+        assert (stats.executed, stats.cache_hits) == (2, 0)
+        again, stats = run_suite()
+        assert len(calls) == 1  # the rerun never rebuilt the prefetcher
+        assert (stats.executed, stats.cache_hits) == (0, 2)
+        assert again.to_dict() == suite.to_dict()
+
+    def test_failing_custom_scheme_is_a_runner_failure(
+        self, config, small_trace, monkeypatch
+    ):
+        def build(trace, cfg, deps, params):
+            raise RuntimeError("boom")
+
+        custom = Scheme("custom", build)
+        monkeypatch.setitem(SCHEMES, "custom", custom)
+        runner = Runner(use_cache=False, pool=InlinePool(), on_error="skip")
+        suite = evaluate_suite([small_trace], config, {"custom": custom},
+                               runner=runner)
+        assert set(suite.by_workload["mcf_inp"]) == {"baseline"}
+        [failure] = suite.failures
+        jobs, slots = suite_jobs([small_trace], config, {"custom": custom})
+        assert failure.key == jobs[slots.index(("mcf_inp", "custom"))].cache_key
+        assert (failure.scheme, failure.label, failure.kind) == (
+            "custom", "custom", "error")
+        assert "RuntimeError: boom" in failure.error
+
+    def test_with_params_is_a_variant_column(self, config, small_trace):
+        from repro.core.prophet import ProphetFeatures
+
+        prophet = SCHEMES["prophet"]
+        no_mvb = prophet.with_params(
+            features=dataclasses.asdict(ProphetFeatures(mvb=False)))
+        assert [k for k, _ in no_mvb.params] == [k for k, _ in prophet.params]
+        assert dict(no_mvb.params)["features"]["mvb"] is False
+        assert dict(prophet.params)["features"]["mvb"] is True
+        assert (no_mvb.name, no_mvb.needs) == (prophet.name, prophet.needs)
+        jobs, _ = suite_jobs([small_trace], config,
+                             {"prophet": prophet, "no-mvb": no_mvb})
+        # One shared profiling pass, two distinct simulate jobs.
+        assert jobs[1].deps["profile"].cache_key == jobs[2].deps["profile"].cache_key
+        assert jobs[1].cache_key != jobs[2].cache_key
 
     def test_runner_stats_cover_suite(self, config, small_trace):
         runner = Runner(jobs=1, use_cache=False)

@@ -326,9 +326,17 @@ class TestDurableRecovery:
 class TestStreaming:
     def test_stream_yields_progress_then_done(self):
         with live_service(workers=1) as (client, service):
-            _, body = client.submit(TINY)
-            job_id = body["job"]["id"]
-            events = list(client.stream(job_id))
+            with faulty_api_run() as plan:
+                # Hold the job until the stream is open: a job that
+                # finishes first streams only summary -> done.
+                plan.hold()
+                _, body = client.submit(TINY)
+                job_id = body["job"]["id"]
+                assert plan.entered.wait(timeout=10.0)
+                stream = client.stream(job_id)
+                events = [next(stream)]
+                plan.release()
+                events += list(stream)
             kinds = [kind for kind, _ in events]
             assert kinds[0] == "summary"
             assert kinds[-1] == "done"

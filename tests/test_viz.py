@@ -133,11 +133,11 @@ class TestMarkdown:
 class TestSuiteExports:
     @pytest.fixture(scope="class")
     def results(self):
-        from repro.experiments.common import evaluate_suite, make_triangel
+        from repro.experiments.common import DEFAULT_SCHEMES, evaluate_suite
         from repro.workloads.spec import make_spec_trace
 
         traces = [make_spec_trace("mcf", "inp", 6000)]
-        return evaluate_suite(traces, schemes={"triangel": make_triangel})
+        return evaluate_suite(traces, schemes={"triangel": DEFAULT_SCHEMES["triangel"]})
 
     def test_csv_has_geomean_row(self, results):
         text = suite_to_csv(results, "speedup")

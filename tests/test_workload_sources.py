@@ -135,10 +135,7 @@ class TestSourceDigestsInRunner:
 
     def test_suite_jobs_use_source_digests(self, no_tracedir):
         traces = resolve_traces(["mcf_inp", "gen_stream_scan"], 1500)
-        jobs, slots, custom = suite_jobs(
-            traces, default_config(), DEFAULT_SCHEMES
-        )
-        assert not custom
+        jobs, slots = suite_jobs(traces, default_config(), DEFAULT_SCHEMES)
         digests = {job.trace.digest for job in jobs}
         assert "catalog:mcf_inp:1500" in digests
         assert any(d.startswith("generator:gen_stream_scan:") for d in digests)
